@@ -6,18 +6,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "arch/machine.hpp"
 #include "bench_util.hpp"
-#include "fault/fault_model.hpp"
 #include "nn/sc_layers.hpp"
 #include "sc/ops.hpp"
 #include "sc/parallel_counter.hpp"
@@ -243,60 +239,6 @@ double measure_kernel_words_per_s(geo::sc::simd::Backend backend,
   return secs > 0.0 ? static_cast<double>(iters * kWpl) / secs : 0.0;
 }
 
-// ---- fused generate+execute vs materialized conv -------------------------
-
-struct ConvLeg {
-  double wall_s = 0.0;
-  std::vector<std::int32_t> counters;
-};
-
-// One machine conv (8x8x12x12, 3x3, L = 256), timed. `materialize` forces
-// the pre-fused path by installing a zero-rate fault model: fault hooks all
-// no-op at rate 0, so the bits are unchanged but the machine materializes
-// every activation stream into its buffer instead of feeding table rows
-// straight into the MAC.
-ConvLeg measure_conv(bool materialize) {
-  using clock = std::chrono::steady_clock;
-  using namespace geo::arch;
-  HwConfig hw = HwConfig::ulp();
-  hw.accum = geo::nn::AccumMode::kFxp;
-  hw.stream_len = 256;
-  hw.stream_len_pool = 256;
-  hw.stream_len_output = 256;
-  const ConvShape shape = ConvShape::conv("bench", 8, 8, 12, 3, 1, false);
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<float> wdist(-0.8f, 0.8f);
-  std::uniform_real_distribution<float> adist(0.0f, 1.0f);
-  std::vector<float> weights(static_cast<std::size_t>(shape.weights()));
-  for (auto& w : weights) w = wdist(rng);
-  std::vector<float> input(static_cast<std::size_t>(shape.activations()));
-  for (auto& v : input) v = adist(rng);
-  const std::vector<float> ones(static_cast<std::size_t>(shape.cout), 1.0f);
-  const std::vector<float> zeros(static_cast<std::size_t>(shape.cout), 0.0f);
-
-  std::optional<geo::fault::ScopedFaultInjection> scope;
-  if (materialize)
-    scope.emplace(geo::fault::FaultConfig{});  // all rates 0: bits unchanged
-  else
-    scope.emplace(nullptr);  // shield from ambient GEO_FAULTS
-
-  ConvLeg leg;
-  GeoMachine machine(hw);
-  // Warm-up run pays the one-time comparator-table build off the clock and
-  // captures the counters for the byte-identity cross-check below.
-  leg.counters = machine.run_conv(shape, weights, input, ones, zeros, 1)
-                     .counters;
-  const int iters = 20;
-  const auto t0 = clock::now();
-  for (int i = 0; i < iters; ++i) {
-    auto r = machine.run_conv(shape, weights, input, ones, zeros, 1);
-    benchmark::DoNotOptimize(r.counters.data());
-  }
-  const auto t1 = clock::now();
-  leg.wall_s = std::chrono::duration<double>(t1 - t0).count() / iters;
-  return leg;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -364,22 +306,6 @@ int main(int argc, char** argv) {
     report.set(key + "_speedup",
                scalar_rate > 0.0 ? simd_rate / scalar_rate : 0.0);
   }
-
-  // Fused generate+execute vs materialized conv. The two legs must agree
-  // byte for byte — a mismatch is a correctness break, not a perf delta,
-  // so it fails the bench run outright.
-  const ConvLeg fused = measure_conv(false);
-  const ConvLeg materialized = measure_conv(true);
-  if (fused.counters != materialized.counters) {
-    std::fprintf(stderr,
-                 "micro_sc_kernels: fused and materialized conv counters "
-                 "diverged — bit-exactness contract broken\n");
-    return 1;
-  }
-  report.set("conv.fused_wall_s", fused.wall_s);
-  report.set("conv.materialized_wall_s", materialized.wall_s);
-  report.set("conv.fused_speedup",
-             fused.wall_s > 0.0 ? materialized.wall_s / fused.wall_s : 0.0);
 
   if (!caller_out) {
     std::ifstream in(raw_path);

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "arch/attribution.hpp"
 #include "exec/parallel_conv.hpp"
@@ -119,22 +118,6 @@ struct ConvExecution::Impl {
   // identity never changes the bits.
   std::unique_ptr<std::atomic<std::uint8_t>[]> act_ready;
 
-  // Fused generate+execute: when no fault model is active and the
-  // comparator-table cache is on, activation streams are resolved to
-  // registry row pointers instead of being copied into `act` — the MAC
-  // reduction reads the table row directly, so the per-stream copy never
-  // happens. The bits are exactly what generate_stream would have copied,
-  // keeping outputs, ledgers, and generation counters byte-identical to the
-  // materialized path. Rows the registry declines (TRNG, table budget) fall
-  // back to per-slot buffers in `act_fallback` (node-stable map; the mutex
-  // guards insertion — readers only see pointers published through the
-  // act_ready release store).
-  bool fused = false;
-  std::vector<const std::uint64_t*> act_rowp;
-  std::vector<std::uint64_t> zero_row;
-  std::unordered_map<std::size_t, std::vector<std::uint64_t>> act_fallback;
-  std::mutex act_fallback_mu;
-
   std::int64_t tiles_cg = 0, tiles_wg = 0;
 
   MachineResult result;
@@ -148,7 +131,6 @@ struct ConvExecution::Impl {
   bool finished = false;
 
   const std::uint64_t* act_stream(std::size_t idx);
-  const std::uint64_t* act_row(std::size_t idx);
   template <typename Fn>
   void for_each_tile_input(std::int64_t tile, Fn&& fn) const;
   MachineStats run_tile(std::int64_t tile);
@@ -196,68 +178,6 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
     }
   }
   return act.data() + idx * wpl;
-}
-
-// The fused-path twin of act_stream(): same claim protocol, but the slot
-// resolves to a comparator-table row pointer instead of filling `act`.
-// Mirrors generate_stream + StreamGenerator::generate(use_table=true)
-// decision-for-decision (value quantization, vn scaling/saturation, the
-// zero-value short-circuit BEFORE any registry acquire, one acquire per
-// generation) so every metric the materialized path bumps is bumped here
-// identically.
-const std::uint64_t* ConvExecution::Impl::act_row(std::size_t idx) {
-  std::atomic<std::uint8_t>& flag = act_ready[idx];
-  std::uint8_t state = flag.load(std::memory_order_acquire);
-  while (state != 2) {
-    if (state == 0) {
-      std::uint8_t expected = 0;
-      if (flag.compare_exchange_strong(expected, 1,
-                                       std::memory_order_acq_rel)) {
-        act_gen_counter->add(1);
-        const float a = std::clamp(input[idx], 0.0f, 1.0f);
-        const std::uint32_t q = nn::quantize_unsigned(a, cfg.value_bits);
-        const sc::SeedSpec spec = alloc->activation(static_cast<int>(idx));
-        const unsigned n = spec.bits;
-        std::uint32_t vn = n >= cfg.value_bits
-                               ? q << (n - cfg.value_bits)
-                               : q >> (cfg.value_bits - n);
-        const std::uint32_t max = (1u << n) - 1u;
-        if (vn > max) vn = max;  // Sng::load saturates the same way
-        const std::uint64_t* row = zero_row.data();
-        if (vn != 0) {
-          if (const sc::StreamTable* t =
-                  sc::StreamTableRegistry::instance().acquire(
-                      cfg.rng, spec, static_cast<std::size_t>(L))) {
-            row = t->row(vn);
-          } else {
-            std::vector<std::uint64_t> buf(wpl, 0);
-            sc::StreamGenerator::local().generate(
-                buf.data(), wpl, static_cast<std::size_t>(L), cfg.rng, spec,
-                vn, /*use_table=*/false);
-            const std::lock_guard<std::mutex> lock(act_fallback_mu);
-            auto& slot = act_fallback[idx];
-            slot = std::move(buf);
-            row = slot.data();
-          }
-        }
-        act_rowp[idx] = row;
-        flag.store(2, std::memory_order_release);
-        flag.notify_all();
-        break;
-      }
-      state = expected;
-      continue;
-    }
-    for (int s = 0; s < 256 && state == 1; ++s) {
-      std::this_thread::yield();
-      state = flag.load(std::memory_order_acquire);
-    }
-    if (state == 1) {
-      flag.wait(1, std::memory_order_acquire);
-      state = flag.load(std::memory_order_acquire);
-    }
-  }
-  return act_rowp[idx];
 }
 
 MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
@@ -349,7 +269,7 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
           const std::size_t aidx =
               (static_cast<std::size_t>(ic) * shape.hin + iy) * shape.win +
               ix;
-          const std::uint64_t* a = fused ? act_row(aidx) : act_stream(aidx);
+          const std::uint64_t* a = act_stream(aidx);
           const std::size_t widx =
               (static_cast<std::size_t>(oc) * K + t) * wpl;
           const std::uint64_t* wp = &wpos[widx];
@@ -675,11 +595,6 @@ geo::Status ConvExecution::rebind_input(std::span<const float> input) {
   // the per-run result vectors.
   for (std::size_t i = 0; i < input.size(); ++i)
     im.act_ready[i].store(0, std::memory_order_relaxed);
-  if (im.fused) {
-    std::fill(im.act_rowp.begin(), im.act_rowp.end(), nullptr);
-    const std::lock_guard<std::mutex> lock(im.act_fallback_mu);
-    im.act_fallback.clear();
-  }
   im.result.counters.assign(static_cast<std::size_t>(im.outputs), 0);
   im.result.activations.assign(static_cast<std::size_t>(im.outputs), 0);
   im.result.stats = MachineStats{};
@@ -860,16 +775,7 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   // ---- activation streams, generated lazily per buffer slot -------------
   auto& metrics = telemetry::MetricsRegistry::instance();
   impl->act_gen_counter = &metrics.counter("machine.act_streams_generated");
-  // Fused generate+execute eligibility: fault injection corrupts seeds and
-  // stream buffers per-slot (the rows are shared), and progressive loading
-  // composes masked row segments — both need a private materialized buffer.
-  impl->fused = fm == nullptr && impl->use_stream_table && !cfg.progressive;
-  if (impl->fused) {
-    impl->act_rowp.assign(input.size(), nullptr);
-    impl->zero_row.assign(wpl, 0);
-  } else {
-    impl->act.assign(input.size() * wpl, 0);
-  }
+  impl->act.assign(input.size() * wpl, 0);
   impl->act_ready =
       std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
   for (std::size_t i = 0; i < input.size(); ++i)

@@ -53,14 +53,10 @@ std::vector<DiffRule> default_diff_rules() {
       {"metrics.counters.*_streams_generated", 0, 0, 0, true},
       {"metrics.counters.*_buffer_fills", 0, 0, 0, true},
       {"*ledger_ok*", 0.0, 0.0, -1, false},
-      // Measured speedup ratios (table-vs-tick, SIMD-vs-scalar, fused-vs-
-      // materialized): wall-clock-derived, so noisy run to run, but a
+      // Measured speedup ratios (table-vs-tick, SIMD-vs-scalar, batched-
+      // vs-solo serving): wall-clock-derived, so noisy run to run, but a
       // collapse means an optimization silently stopped engaging. Gate
       // loosely, higher is better.
-      // Batched-serving throughput ratio (bench/serve batch section): a
-      // collapse below baseline means coalesced dispatch stopped amortizing
-      // preparation. Same loose shrink-only gate as the other ratios.
-      {"*batch_speedup*", 0.5, 0.0, -1, false},
       {"*speedup*", 0.5, 0.0, -1, false},
       {"*accuracy*", 0.0, 0.25, -1, false},  // percentage points
       {"*frames_per_joule*", 0.02, 0.0, -1, false},

@@ -1,8 +1,7 @@
 // Bench regression comparison: flattens two BENCH_*.json documents into
 // path->value maps and diffs them under per-metric tolerance rules, so a
-// committed baseline tree can gate changes in CI (`scripts/bench_diff.py`
-// mirrors the same rules for workflows without a built tree; `geo_report`
-// is the CLI over this core).
+// committed baseline tree can gate changes in CI (`geo_report` is the CLI
+// over this core).
 //
 // A rule is a '*' glob over the flattened metric path (e.g.
 // "attr.layers.0.generation_cycles", "metrics.counters.machine.total_cycles")

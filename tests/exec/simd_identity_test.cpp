@@ -2,8 +2,8 @@
 // produce byte-identical conv outputs, activations, and cycle ledgers for
 // every backend x thread-count x fault-injection combination, in every
 // accumulator mode — SIMD is an execution optimization, never a semantic
-// change. Also pins the fused generate+execute path (comparator-table rows
-// fed straight into the MAC) against the materialized-stream path.
+// change. Also pins comparator-table stream generation against bit-serial
+// tick generation (GEO_STREAM_TABLE 1 vs 0) on the ULP configuration.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -158,11 +158,11 @@ TEST_P(SimdIdentity, ConvIsByteIdenticalAcrossBackendsAndThreads) {
   }
 }
 
-// Fused generate+execute (table rows fed straight into the MAC reduction,
-// GEO_STREAM_TABLE=1, no fault model) must be byte-identical to the
-// materialized bit-serial path (GEO_STREAM_TABLE=0) — same outputs, same
-// ledger. Covers both the direct (kFxp) and grouped (kPbw) accumulators.
-TEST_P(SimdIdentity, FusedTableRowsMatchMaterializedStreams) {
+// Comparator-table generation (GEO_STREAM_TABLE=1) must be byte-identical
+// to bit-serial tick generation (GEO_STREAM_TABLE=0) on the ULP
+// configuration, with no fault model — same outputs, same ledger — in
+// every accumulator mode.
+TEST_P(SimdIdentity, TableStreamsMatchTickStreams) {
   const Fixture f;
   const HwConfig hw = hw_for(GetParam());
   ScopedFaultInjection off(nullptr);

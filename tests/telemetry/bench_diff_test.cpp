@@ -1,9 +1,8 @@
 // Bench regression gate core: glob matching, numeric flattening, and the
-// tolerance-rule diff that geo_report / scripts/bench_diff.py expose. The
-// acceptance cases mirror the CI gate: identical documents diff clean, a
-// 10% cycle inflation is caught, an accuracy drop is caught, improvements
-// and wall-clock noise are not flagged, and a vanished metric is treated
-// as lost coverage.
+// tolerance-rule diff that geo_report exposes. The acceptance cases mirror
+// the CI gate: identical documents diff clean, a 10% cycle inflation is
+// caught, an accuracy drop is caught, improvements and wall-clock noise are
+// not flagged, and a vanished metric is treated as lost coverage.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -110,6 +109,25 @@ TEST(BenchDiff, AccuracyDropIsCaughtAndGainIsNot) {
                                R"({"eval":{"accuracy":98.0}})");
   EXPECT_TRUE(gain.ok());
   EXPECT_EQ(gain.improvements, 1u);
+}
+
+TEST(BenchDiff, SpeedupCollapseIsCaughtAndGainIsNot) {
+  // One loose shrink-only rule covers every measured ratio: falling below
+  // half the baseline is a regression, any rise is not.
+  const char* base = R"({"batch":{"batch_speedup":3.4},
+      "simd":{"mac_popcount_speedup":13.0}})";
+  const DiffResult drop = diff(base, R"({"batch":{"batch_speedup":1.6},
+      "simd":{"mac_popcount_speedup":6.0}})");
+  EXPECT_EQ(drop.regressions, 2u);
+  EXPECT_EQ(find_delta(drop, "batch.batch_speedup")->kind,
+            DeltaKind::kRegression);
+  EXPECT_EQ(find_delta(drop, "simd.mac_popcount_speedup")->kind,
+            DeltaKind::kRegression);
+
+  const DiffResult rise = diff(base, R"({"batch":{"batch_speedup":6.0},
+      "simd":{"mac_popcount_speedup":30.0}})");
+  EXPECT_TRUE(rise.ok());
+  EXPECT_EQ(rise.improvements, 2u);
 }
 
 TEST(BenchDiff, LedgerOkGoingFalseIsARegression) {

@@ -6,8 +6,7 @@
 //
 // BASE/CURRENT directories are matched by file name (every BENCH_*.json in
 // BASE must exist in CURRENT; extras in CURRENT are reported, not gated).
-// `scripts/bench_diff.py` mirrors the diff mode for environments without a
-// built tree; docs/OBSERVABILITY.md documents the baseline workflow.
+// docs/OBSERVABILITY.md documents the baseline workflow.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
