@@ -59,8 +59,10 @@ TEST(Models, StochasticModeQuantizesBatchNorm) {
   EXPECT_EQ(bn_count, 3) << "BN before every ReLU (Sec. III-B)";
 }
 
+// The model name is a std::string, not a const char*: gtest prints a char
+// pointer with its address, which would put an address into the test name.
 class ModelForwardShapes
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ModelForwardShapes, LogitsShapeForEveryMode) {
   const auto [name, channels] = GetParam();
@@ -77,9 +79,9 @@ TEST_P(ModelForwardShapes, LogitsShapeForEveryMode) {
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, ModelForwardShapes,
-    ::testing::Values(std::make_tuple("cnn4", 3),
-                      std::make_tuple("lenet5", 1),
-                      std::make_tuple("vgg", 3)));
+    ::testing::Values(std::make_tuple(std::string("cnn4"), 3),
+                      std::make_tuple(std::string("lenet5"), 1),
+                      std::make_tuple(std::string("vgg"), 3)));
 
 TEST(Models, ConfigPropagatesToLayers) {
   ScModelConfig cfg = ScModelConfig::stochastic(16, 32);
