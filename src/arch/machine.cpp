@@ -97,6 +97,9 @@ struct ConvExecution::Impl {
   std::vector<float> bn_scale, bn_shift;
   fault::FaultModel* fm = nullptr;
   std::int64_t fault_retry0 = 0;
+  // ECC retry cycles the weight-SRAM reads charged at prepare time. Every
+  // run's ledger carries them, a rebound one included.
+  std::int64_t weight_retry = 0;
 
   int L = 0;
   std::size_t wpl = 0;
@@ -598,10 +601,12 @@ geo::Status ConvExecution::rebind_input(std::span<const float> input) {
   im.result.counters.assign(static_cast<std::size_t>(im.outputs), 0);
   im.result.activations.assign(static_cast<std::size_t>(im.outputs), 0);
   im.result.stats = MachineStats{};
-  // Re-baseline the ECC retry charge: this run's finish() must charge only
-  // the retries its own activation reads incur, not the previous member's.
+  // Re-baseline the ECC retry charge: this run's finish() charges the
+  // weight reads' retries plus those its own activation reads incur, not
+  // the previous member's.
   im.fault_retry0 =
-      im.fm != nullptr ? im.fm->stats().sram_retry_cycles : 0;
+      im.fm != nullptr ? im.fm->stats().sram_retry_cycles - im.weight_retry
+                       : 0;
   im.finished = false;
   im.run_timer.emplace("machine.run_conv", "machine");
   return geo::Status();
@@ -771,6 +776,8 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
               impl->use_stream_table);
         });
   }
+  if (fm != nullptr)
+    impl->weight_retry = fm->stats().sram_retry_cycles - impl->fault_retry0;
 
   // ---- activation streams, generated lazily per buffer slot -------------
   auto& metrics = telemetry::MetricsRegistry::instance();

@@ -155,12 +155,12 @@ class ConvExecution {
 
   // Re-arms the execution for a new input snapshot of the same layer: the
   // prepared weight streams, pass plan, and seed layout are kept (the
-  // expensive per-layer setup the serving batcher amortizes), while every
+  // expensive per-layer setup a batch amortizes), while every
   // per-run artifact is reset — the lazy activation-stream cache, partial
   // sums, stats, the fault-retry baseline, and the run timer. After a
   // rebind, running every tile and finishing produces counters and
-  // activations byte-identical to a fresh prepare_conv on `input` (stats
-  // legitimately differ: the weight-stream generation cost is not re-paid).
+  // activations byte-identical to a fresh prepare_conv on `input`, and stats
+  // equal to it (the weight reads' ECC retry charge carries over).
   // Valid after finish(), after a cancelled/abandoned partial run, or
   // immediately after prepare. The span must outlive the execution. Safe
   // only with no run_tile in flight. Byte-identity of the reused weight

@@ -156,7 +156,7 @@ struct RunOptions {
 
 // One member of a batched layer dispatch (run_conv_batch): same layer
 // (shape/weights/BN/salt), a private input snapshot, and per-request
-// controls. Spans must outlive the call.
+// controls (see RunOptions). Spans must outlive the call.
 struct BatchItem {
   std::span<const float> input;
   std::string label;                     // journal/report label
@@ -168,11 +168,6 @@ struct BatchItem {
 struct BatchItemResult {
   geo::StatusOr<arch::MachineResult> result;
   bool degraded = false;  // accepted below kNative (meaningful when ok())
-  // True when the item executed on the batch-shared preparation; false when
-  // it fell back to a solo run_conv (transient fault model, steered-to-
-  // reference batch, or a rung failure demotion) — the solo path is the
-  // unbatched code verbatim.
-  bool shared = false;
 };
 
 // Drives convolution layers through detect -> retry -> degrade. One executor
@@ -182,33 +177,34 @@ class ResilientExecutor {
   explicit ResilientExecutor(const arch::HwConfig& hw,
                              RetryPolicy policy = RetryPolicy::from_env());
 
-  // Executes one layer like GeoMachine::try_run_conv, but fault-tolerantly.
-  // Returns the accepted rung's result (reference-rung results carry zeroed
-  // machine stats; their ledger is trivially reconciled). Non-degraded
-  // executions are bit-identical to GeoMachine::try_run_conv under the same
-  // fault model; degraded-to-reference layers match
-  // nn::fxp_reference_counters exactly.
+  // Executes one layer like GeoMachine::try_run_conv, but fault-tolerantly:
+  // run_conv_batch with one item. Returns the accepted rung's result
+  // (reference-rung results carry zeroed machine stats; their ledger is
+  // trivially reconciled). Non-degraded executions are bit-identical to
+  // GeoMachine::try_run_conv under the same fault model; degraded-to-
+  // reference layers match nn::fxp_reference_counters exactly.
   geo::StatusOr<arch::MachineResult> run_conv(
       const arch::ConvShape& shape, std::span<const float> weights,
       std::span<const float> input, std::span<const float> bn_scale,
       std::span<const float> bn_shift, std::uint64_t layer_salt,
       std::string label = "", RunOptions options = {});
 
-  // Executes one layer for a batch of inputs, preparing the conv once and
-  // rebinding it per item (ConvExecution::rebind_input) — the serving
-  // batcher's amortization path. Per-item outputs are byte-identical to a
-  // solo run_conv on the same input; per-item outcomes append to report()
-  // in item order (cancelled items append nothing, like run_conv). Items
-  // whose shared-rung walk fails (retry budget drained) demote to a solo
-  // run_conv so the full degradation ladder still applies. The whole batch
-  // falls back to per-item run_conv when sharing is unsound or pointless:
-  // a transient fault model (regeneration draws fresh per-site sequences),
-  // a kReference start, or a single-item batch. `start` mirrors
-  // RunOptions::start for every item.
+  // Executes one layer for a batch of inputs; the only implementation of
+  // the degradation ladder. The items walk the rungs as one group: each
+  // machine rung is prepared once, on the first item still pending, and
+  // rebound to the others (ConvExecution::rebind_input). An item whose
+  // tiles pass and whose ledger reconciles is accepted; the items that
+  // drain a retry budget or miss their ledger move down to the next rung
+  // together, and the reference rung computes whatever is left. Under a
+  // transient fault model (regeneration draws fresh per-site sequences)
+  // each item walks the ladder alone. Per-item results and outcomes are
+  // identical to a solo run_conv on the same input; outcomes append to
+  // report() in item order (cancelled or invalid items append nothing).
+  // `start` mirrors RunOptions::start for every item.
   std::vector<BatchItemResult> run_conv_batch(
       const arch::ConvShape& shape, std::span<const float> weights,
       std::span<const float> bn_scale, std::span<const float> bn_shift,
-      std::uint64_t layer_salt, std::vector<BatchItem>& items,
+      std::uint64_t layer_salt, std::span<const BatchItem> items,
       Rung start = Rung::kNative);
 
   const RetryPolicy& policy() const noexcept { return policy_; }
@@ -216,10 +212,10 @@ class ResilientExecutor {
   ResilienceReport take_report() { return std::move(report_); }
 
   // The most recent completed run_conv's outcome (nullptr before the first
-  // completion). The serving layer reads this per attempt to decide
-  // failover: `degraded` means the retry budget drained on every attempted
-  // rung (a persistent fault — route away), while `tiles_recovered > 0`
-  // with `degraded == false` means in-place retries absorbed a transient.
+  // completion): `degraded` means the retry budget drained on every
+  // attempted rung (a persistent fault — route away), while
+  // `tiles_recovered > 0` with `degraded == false` means in-place retries
+  // absorbed a transient.
   const LayerOutcome* last_outcome() const noexcept {
     return report_.layers.empty() ? nullptr : &report_.layers.back();
   }

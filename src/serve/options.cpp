@@ -50,8 +50,6 @@ ServeOptions ServeOptions::from_env() {
       core::env_int("GEO_SERVE_PROBE_AFTER", o.probe_after, 1, 1 << 16));
   o.steer_rung = steer_from_env();
   o.batch = static_cast<int>(core::env_int("GEO_SERVE_BATCH", o.batch, 1, 64));
-  o.batch_wait_us = core::env_int("GEO_SERVE_BATCH_WAIT_US", o.batch_wait_us,
-                                  0, 1'000'000'000);
   o.prewarm = core::env_int("GEO_SERVE_PREWARM", o.prewarm ? 1 : 0, 0, 1) != 0;
   return o;
 }
@@ -77,8 +75,6 @@ geo::Status ServeOptions::validate() const {
     return geo::Status::invalid_argument(
         "serve: steer_rung must be a degraded rung");
   if (batch < 1) return geo::Status::invalid_argument("serve: batch < 1");
-  if (batch_wait_us < 0)
-    return geo::Status::invalid_argument("serve: batch_wait_us < 0");
   return geo::Status();
 }
 
@@ -95,7 +91,6 @@ std::string ServeOptions::to_string() const {
      << ",backoff_us=" << retry_backoff_us << ",strikes=" << breaker_strikes
      << ",probe_after=" << probe_after
      << ",steer=" << resilience::to_string(steer_rung) << ",batch=" << batch
-     << ",batch_wait_us=" << batch_wait_us
      << ",prewarm=" << (prewarm ? 1 : 0);
   return os.str();
 }

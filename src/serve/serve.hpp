@@ -81,13 +81,9 @@ struct ServeOptions {
   // on. kReference is the cheapest (pure software) and the default.
   resilience::Rung steer_rung = resilience::Rung::kReference;
   // GEO_SERVE_BATCH: max same-model requests coalesced into one dispatch
-  // (shared conv preparation via resilience::run_conv_batch). 1 disables
-  // batching — every request prepares its own conv, the pre-batching path.
+  // (one conv preparation per rung via resilience::run_conv_batch). 1
+  // disables coalescing — every dispatch is a batch of one.
   int batch = 1;
-  // GEO_SERVE_BATCH_WAIT_US: how long a replica lingers for the batch to
-  // fill once it holds at least one compatible request. 0 = dispatch
-  // whatever is immediately coalescible (no added latency).
-  std::int64_t batch_wait_us = 0;
   // GEO_SERVE_PREWARM (0|1): pre-warm the weight-store pin and stream-table
   // rows for an admitted request's model off the critical section
   // (exec::AsyncLane::io), so the first dispatch of a burst hits warm
@@ -212,11 +208,13 @@ class InferenceServer {
   struct PrewarmCounters;
 
   void worker_main(int replica);
-  void serve_one(int replica, std::unique_ptr<Pending> p);
-  void serve_batch(int replica, std::vector<std::unique_ptr<Pending>> batch);
-  // Shared post-execution tail of serve_one / serve_batch: attempt
-  // bookkeeping, deadline/error handling, failover re-queue, breaker
-  // signal, terminal respond.
+  // Runs one claimed batch (the leader first, then the requests coalesced
+  // behind it; usually just the leader): queue-time latch, expired-in-queue
+  // responses, one fault scope, one store pin, one executor call.
+  void dispatch(int replica, std::vector<std::unique_ptr<Pending>> batch);
+  // Per-member post-execution tail of dispatch: attempt bookkeeping,
+  // deadline/error handling, failover re-queue, breaker signal, terminal
+  // respond.
   void finish_attempt(int replica, std::unique_ptr<Pending> p,
                       geo::StatusOr<arch::MachineResult> result,
                       bool degraded, double exec_us, bool batched);

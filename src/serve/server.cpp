@@ -245,7 +245,8 @@ Response InferenceServer::run(Request req) {
 
 void InferenceServer::worker_main(int replica) {
   for (;;) {
-    std::unique_ptr<Pending> next;
+    // The claimed request first, then the compatible requests coalesced
+    // behind it.
     std::vector<std::unique_ptr<Pending>> batch;
     {
       std::unique_lock lock(mu_);
@@ -278,58 +279,35 @@ void InferenceServer::worker_main(int replica) {
                 journal_event("serve.probe", (*pick)->label(),
                               {{"replica", static_cast<double>(replica)}});
               }
-              next = std::move(*pick);
+              batch.push_back(std::move(*pick));
               queue_.erase(pick);
               // Coalesce compatible requests behind the claimed leader into
-              // one batch dispatch (probes stay solo: a probe's health
-              // signal must be attributable to one request). Gathering
-              // happens under the same lock hold as the claim, so without a
-              // linger the batch is exactly what was queued at claim time.
-              if (!probe && options_.batch > 1) {
-                const auto compatible = [](const Pending& a,
-                                           const Pending& b) {
-                  return a.steered == b.steered &&
-                         a.req.layer_salt == b.req.layer_salt &&
-                         a.req.store_layer == b.req.store_layer &&
-                         same_span(a.req.weights, b.req.weights) &&
-                         same_span(a.req.bn_scale, b.req.bn_scale) &&
-                         same_span(a.req.bn_shift, b.req.bn_shift) &&
-                         same_shape(a.req.shape, b.req.shape);
-                };
-                const auto gather = [&] {
-                  const auto gnow = Clock::now();
-                  for (auto it = queue_.begin();
-                       it != queue_.end() &&
-                       1 + static_cast<int>(batch.size()) < options_.batch;) {
-                    if ((*it)->not_before > gnow ||
-                        ((*it)->exclude == replica &&
-                         health_.other_candidate(replica)) ||
-                        !compatible(*next, **it)) {
-                      ++it;
-                      continue;
-                    }
-                    batch.push_back(std::move(*it));
-                    it = queue_.erase(it);
-                  }
-                };
-                gather();
-                if (options_.batch_wait_us > 0) {
-                  // Linger for the batch to fill; every enqueue notifies
-                  // cv_, so freshly admitted compatible requests join
-                  // until the window closes or the batch is full.
-                  const auto linger_until =
-                      Clock::now() +
-                      std::chrono::microseconds(options_.batch_wait_us);
-                  while (1 + static_cast<int>(batch.size()) <
-                             options_.batch &&
-                         !stopping_ && !paused_) {
-                    const bool timed_out =
-                        cv_.wait_until(lock, linger_until) ==
-                        std::cv_status::timeout;
-                    gather();
-                    if (timed_out) break;
-                  }
+              // one dispatch (probes stay solo: a probe's health signal
+              // must be attributable to one request). Gathering happens
+              // under the same lock hold as the claim, so the batch is
+              // exactly what was queued at claim time.
+              const Pending& leader = *batch.front();
+              for (auto it = queue_.begin();
+                   !probe && it != queue_.end() &&
+                   static_cast<int>(batch.size()) < options_.batch;) {
+                const Pending& q = **it;
+                const bool compatible =
+                    q.not_before <= now &&
+                    !(q.exclude == replica &&
+                      health_.other_candidate(replica)) &&
+                    q.steered == leader.steered &&
+                    q.req.layer_salt == leader.req.layer_salt &&
+                    q.req.store_layer == leader.req.store_layer &&
+                    same_span(q.req.weights, leader.req.weights) &&
+                    same_span(q.req.bn_scale, leader.req.bn_scale) &&
+                    same_span(q.req.bn_shift, leader.req.bn_shift) &&
+                    same_shape(q.req.shape, leader.req.shape);
+                if (!compatible) {
+                  ++it;
+                  continue;
                 }
+                batch.push_back(std::move(*it));
+                it = queue_.erase(it);
               }
               telemetry::MetricsRegistry::instance()
                   .gauge("serve.queue_depth")
@@ -347,45 +325,64 @@ void InferenceServer::worker_main(int replica) {
           cv_.wait_until(lock, wait_until);
       }
     }
-    if (batch.empty()) {
-      serve_one(replica, std::move(next));
-    } else {
-      batch.insert(batch.begin(), std::move(next));
-      serve_batch(replica, std::move(batch));
-    }
+    dispatch(replica, std::move(batch));
   }
 }
 
-void InferenceServer::serve_one(int replica, std::unique_ptr<Pending> p) {
+void InferenceServer::dispatch(int replica,
+                               std::vector<std::unique_ptr<Pending>> batch) {
   const auto popped = Clock::now();
-  if (!p->dispatched) {
-    p->dispatched = true;
-    p->queue_us = micros_between(p->submitted, popped);
+  std::vector<std::unique_ptr<Pending>> live;
+  live.reserve(batch.size());
+  for (auto& p : batch) {
+    if (!p->dispatched) {
+      p->dispatched = true;
+      p->queue_us = micros_between(p->submitted, popped);
+    }
+    // Deadline already expired while queued: release the replica without
+    // charging a single cycle.
+    if (p->cancel.cancelled()) {
+      health_.on_no_signal(replica);
+      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+      telemetry::MetricsRegistry::instance()
+          .counter("serve.deadline_expired")
+          .add();
+      journal_event("serve.deadline", p->label(),
+                    {{"replica", static_cast<double>(replica)},
+                     {"attempt", static_cast<double>(p->attempts)}},
+                    "expired-in-queue");
+      Response resp;
+      resp.status =
+          geo::Status::deadline_exceeded("serve: deadline expired in queue");
+      resp.replica = replica;
+      resp.attempts = p->attempts;
+      respond(std::move(p), std::move(resp));
+      continue;
+    }
+    live.push_back(std::move(p));
   }
+  if (live.empty()) return;
 
-  // Deadline already expired while queued: release the replica without
-  // charging a single cycle.
-  if (p->cancel.cancelled()) {
-    health_.on_no_signal(replica);
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::MetricsRegistry::instance()
-        .counter("serve.deadline_expired")
-        .add();
-    journal_event("serve.deadline", p->label(),
+  auto& m = telemetry::MetricsRegistry::instance();
+  const bool batched = live.size() > 1;
+  if (batched) {
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    batched_requests_.fetch_add(static_cast<std::int64_t>(live.size()),
+                                std::memory_order_relaxed);
+    m.counter("serve.batch").add();
+    m.counter("serve.batch_requests")
+        .add(static_cast<std::int64_t>(live.size()));
+    m.histogram("serve.batch_occupancy")
+        .observe(static_cast<double>(live.size()));
+    journal_event("serve.batch", live.front()->label(),
                   {{"replica", static_cast<double>(replica)},
-                   {"attempt", static_cast<double>(p->attempts)}},
-                  "expired-in-queue");
-    Response resp;
-    resp.status =
-        geo::Status::deadline_exceeded("serve: deadline expired in queue");
-    resp.replica = replica;
-    resp.attempts = p->attempts;
-    respond(std::move(p), std::move(resp));
-    return;
+                   {"size", static_cast<double>(live.size())}});
   }
 
-  // Per-replica fault domain: the scoped override beats GEO_FAULTS on this
-  // thread, and the thread pool propagates it to any helper workers.
+  // Per-replica fault domain, one scope around the whole dispatch: the
+  // scoped override beats GEO_FAULTS on this thread, the thread pool
+  // propagates it to any helper workers, and batch members share the
+  // replica's hardware and therefore its faults.
   std::optional<fault::FaultConfig> fault_cfg;
   {
     std::lock_guard lock(mu_);
@@ -395,57 +392,72 @@ void InferenceServer::serve_one(int replica, std::unique_ptr<Pending> p) {
   if (fault_cfg.has_value()) fault_scope.emplace(*fault_cfg);
 
   resilience::ResilientExecutor executor(hw_, retry_policy_);
-  resilience::RunOptions run_options;
-  run_options.cancel = &p->cancel;
-  if (p->steered) run_options.start = options_.steer_rung;
+  const Pending& leader = *live.front();
+  const resilience::Rung start =
+      leader.steered ? options_.steer_rung : resilience::Rung::kNative;
 
-  // Store-backed weights: pin here, on the worker, inside the fault scope —
-  // the repair ladder (reread/rebuild/fallback) runs under whatever disk
-  // faults this replica is subject to and still returns source-identical
-  // bytes. Admission verified the layer, so a pin failure is a contract
-  // break surfaced loudly below, never a silent drop.
-  std::span<const float> weights = p->req.weights;
+  // Store-backed weights: one pin for the whole dispatch, here on the
+  // worker and inside the fault scope — the repair ladder (reread/rebuild/
+  // fallback) runs under whatever disk faults this replica is subject to
+  // and still returns source-identical bytes. Admission verified the layer,
+  // so a pin failure is a contract break surfaced loudly below, never a
+  // silent drop. The pin's modeled io stall (zero on cache hits) is charged
+  // once, into the first member's ledger, where attribution folds it into
+  // the memory bucket.
+  std::span<const float> weights = leader.req.weights;
   store::Pinned pinned;
-  if (!p->req.store_layer.empty()) {
+  std::int64_t io_stall_cycles = 0;
+  if (!leader.req.store_layer.empty()) {
     std::shared_ptr<store::WeightStore> store;
     {
       std::lock_guard lock(mu_);
       store = store_;
     }
     geo::StatusOr<store::Pinned> pin =
-        store != nullptr ? store->pin(p->req.store_layer)
+        store != nullptr ? store->pin(leader.req.store_layer)
                          : geo::Status::failed_precondition(
                                "serve: weight store detached after admission");
     if (!pin.ok()) {
-      apply_transition(health_.on_outcome(replica, false), replica);
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::MetricsRegistry::instance().counter("serve.failed").add();
-      journal_event("serve.fail", p->label(),
-                    {{"replica", static_cast<double>(replica)}},
-                    pin.status().message());
-      Response resp;
-      resp.status = pin.status();
-      resp.replica = replica;
-      resp.attempts = p->attempts;
-      respond(std::move(p), std::move(resp));
+      for (auto& p : live) {
+        apply_transition(health_.on_outcome(replica, false), replica);
+        failed_.fetch_add(1, std::memory_order_relaxed);
+        m.counter("serve.failed").add();
+        journal_event("serve.fail", p->label(),
+                      {{"replica", static_cast<double>(replica)}},
+                      pin.status().message());
+        Response resp;
+        resp.status = pin.status();
+        resp.replica = replica;
+        resp.attempts = p->attempts;
+        respond(std::move(p), std::move(resp));
+      }
       return;
     }
     pinned = std::move(*pin);
     weights = pinned.span();
-    // Charge the load's modeled io stall into the execution's ledger (zero
-    // on cache hits), where attribution folds it into the memory bucket.
-    run_options.io_stall_cycles = pinned.stats().io_stall_cycles;
+    io_stall_cycles = pinned.stats().io_stall_cycles;
+  }
+
+  std::vector<resilience::BatchItem> items;
+  items.reserve(live.size());
+  for (const auto& p : live) {
+    items.push_back({p->req.input, p->label(), &p->cancel,
+                     items.empty() ? io_stall_cycles : 0});
   }
 
   const auto exec_start = Clock::now();
-  auto result = executor.run_conv(p->req.shape, weights, p->req.input,
-                                  p->req.bn_scale, p->req.bn_shift,
-                                  p->req.layer_salt, p->label(), run_options);
-  const double exec_us = micros_between(exec_start, Clock::now());
-  const resilience::LayerOutcome* outcome = executor.last_outcome();
-  const bool degraded = result.ok() && outcome != nullptr && outcome->degraded;
-  finish_attempt(replica, std::move(p), std::move(result), degraded, exec_us,
-                 /*batched=*/false);
+  std::vector<resilience::BatchItemResult> results = executor.run_conv_batch(
+      leader.req.shape, weights, leader.req.bn_scale, leader.req.bn_shift,
+      leader.req.layer_salt, items, start);
+  // Amortized per-request service time: the dispatch's wall time split
+  // evenly (members share one preparation; finer attribution is not
+  // observable).
+  const double exec_us = micros_between(exec_start, Clock::now()) /
+                         static_cast<double>(live.size());
+
+  for (std::size_t i = 0; i < live.size(); ++i)
+    finish_attempt(replica, std::move(live[i]), std::move(results[i].result),
+                   results[i].degraded, exec_us, batched);
 }
 
 void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
@@ -534,134 +546,6 @@ void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
   resp.exec_us = exec_us;
   resp.batched = batched;
   respond(std::move(p), std::move(resp));
-}
-
-void InferenceServer::serve_batch(int replica,
-                                  std::vector<std::unique_ptr<Pending>> batch) {
-  const auto popped = Clock::now();
-  std::vector<std::unique_ptr<Pending>> live;
-  live.reserve(batch.size());
-  for (auto& p : batch) {
-    if (!p->dispatched) {
-      p->dispatched = true;
-      p->queue_us = micros_between(p->submitted, popped);
-    }
-    // Deadline already expired while queued: terminal response without
-    // charging a cycle, exactly like the serve_one path.
-    if (p->cancel.cancelled()) {
-      health_.on_no_signal(replica);
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::MetricsRegistry::instance()
-          .counter("serve.deadline_expired")
-          .add();
-      journal_event("serve.deadline", p->label(),
-                    {{"replica", static_cast<double>(replica)},
-                     {"attempt", static_cast<double>(p->attempts)}},
-                    "expired-in-queue");
-      Response resp;
-      resp.status =
-          geo::Status::deadline_exceeded("serve: deadline expired in queue");
-      resp.replica = replica;
-      resp.attempts = p->attempts;
-      respond(std::move(p), std::move(resp));
-      continue;
-    }
-    live.push_back(std::move(p));
-  }
-  if (live.empty()) return;
-  if (live.size() == 1) {
-    // A batch that shrank to one member is just a request (queue_us is
-    // latched; serve_one skips everything already done here).
-    serve_one(replica, std::move(live.front()));
-    return;
-  }
-
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(static_cast<std::int64_t>(live.size()),
-                              std::memory_order_relaxed);
-  auto& m = telemetry::MetricsRegistry::instance();
-  m.counter("serve.batch").add();
-  m.counter("serve.batch_requests").add(static_cast<std::int64_t>(live.size()));
-  m.histogram("serve.batch_occupancy").observe(static_cast<double>(live.size()));
-  journal_event("serve.batch", live.front()->label(),
-                {{"replica", static_cast<double>(replica)},
-                 {"size", static_cast<double>(live.size())}});
-
-  // Per-replica fault domain, one scope around the whole dispatch — batch
-  // members share the replica's hardware and therefore its faults.
-  std::optional<fault::FaultConfig> fault_cfg;
-  {
-    std::lock_guard lock(mu_);
-    fault_cfg = replica_fault_[static_cast<std::size_t>(replica)];
-  }
-  std::optional<fault::ScopedFaultInjection> fault_scope;
-  if (fault_cfg.has_value()) fault_scope.emplace(*fault_cfg);
-
-  resilience::ResilientExecutor executor(hw_, retry_policy_);
-  const Pending& leader = *live.front();
-  const resilience::Rung start =
-      leader.steered ? options_.steer_rung : resilience::Rung::kNative;
-
-  // One store pin for the whole batch — the amortization batching exists
-  // for. The pin's modeled io stall is charged once, to the first member
-  // (the batch pays the wait once, not per member).
-  std::span<const float> weights = leader.req.weights;
-  store::Pinned pinned;
-  std::int64_t io_stall_cycles = 0;
-  if (!leader.req.store_layer.empty()) {
-    std::shared_ptr<store::WeightStore> store;
-    {
-      std::lock_guard lock(mu_);
-      store = store_;
-    }
-    geo::StatusOr<store::Pinned> pin =
-        store != nullptr ? store->pin(leader.req.store_layer)
-                         : geo::Status::failed_precondition(
-                               "serve: weight store detached after admission");
-    if (!pin.ok()) {
-      for (auto& p : live) {
-        apply_transition(health_.on_outcome(replica, false), replica);
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        m.counter("serve.failed").add();
-        journal_event("serve.fail", p->label(),
-                      {{"replica", static_cast<double>(replica)}},
-                      pin.status().message());
-        Response resp;
-        resp.status = pin.status();
-        resp.replica = replica;
-        resp.attempts = p->attempts;
-        respond(std::move(p), std::move(resp));
-      }
-      return;
-    }
-    pinned = std::move(*pin);
-    weights = pinned.span();
-    io_stall_cycles = pinned.stats().io_stall_cycles;
-  }
-
-  std::vector<resilience::BatchItem> items;
-  items.reserve(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    resilience::BatchItem item;
-    item.input = live[i]->req.input;
-    item.label = live[i]->label();
-    item.cancel = &live[i]->cancel;
-    item.io_stall_cycles = i == 0 ? io_stall_cycles : 0;
-    items.push_back(std::move(item));
-  }
-
-  const auto exec_start = Clock::now();
-  std::vector<resilience::BatchItemResult> results = executor.run_conv_batch(
-      leader.req.shape, weights, leader.req.bn_scale, leader.req.bn_shift,
-      leader.req.layer_salt, items, start);
-  // Amortized per-request service time: the batch's wall time split evenly
-  // (members share one preparation; finer attribution is not observable).
-  const double exec_us = micros_between(exec_start, Clock::now()) /
-                         static_cast<double>(live.size());
-
-  for (std::size_t i = 0; i < live.size(); ++i)
-    finish_attempt(replica, std::move(live[i]), std::move(results[i].result),
-                   results[i].degraded, exec_us, /*batched=*/true);
 }
 
 void InferenceServer::schedule_prewarm(const Request& req) {

@@ -4,7 +4,9 @@
 // batch bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "fault/fault_model.hpp"
 #include "resilience/resilience.hpp"
 #include "serve/serve.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace geo::serve {
 namespace {
@@ -30,9 +33,9 @@ FaultConfig persistent_fault() {
   return *cfg;
 }
 
-HwConfig small_hw() {
+HwConfig small_hw(nn::AccumMode accum = nn::AccumMode::kPbw) {
   HwConfig hw = HwConfig::ulp();
-  hw.accum = nn::AccumMode::kPbw;
+  hw.accum = accum;
   hw.stream_len = 64;
   hw.stream_len_pool = 64;
   hw.stream_len_output = 64;
@@ -98,22 +101,18 @@ struct ScopedEnv {
 TEST(ServeOptionsBatch, KnobsParseAndFailClosed) {
   {
     ScopedEnv b("GEO_SERVE_BATCH", "8");
-    ScopedEnv w("GEO_SERVE_BATCH_WAIT_US", "500");
     ScopedEnv p("GEO_SERVE_PREWARM", "0");
     const ServeOptions o = ServeOptions::from_env();
     EXPECT_EQ(o.batch, 8);
-    EXPECT_EQ(o.batch_wait_us, 500);
     EXPECT_FALSE(o.prewarm);
     EXPECT_NE(o.to_string().find("batch=8"), std::string::npos);
   }
   {
     // Fail-closed: malformed / out-of-range values fall back to defaults.
     ScopedEnv b("GEO_SERVE_BATCH", "bogus");
-    ScopedEnv w("GEO_SERVE_BATCH_WAIT_US", "-3");
     ScopedEnv p("GEO_SERVE_PREWARM", "2");
     const ServeOptions o = ServeOptions::from_env();
     EXPECT_EQ(o.batch, 1);
-    EXPECT_EQ(o.batch_wait_us, 0);
     EXPECT_TRUE(o.prewarm);
   }
   ServeOptions bad;
@@ -121,65 +120,134 @@ TEST(ServeOptionsBatch, KnobsParseAndFailClosed) {
   EXPECT_FALSE(bad.validate().ok());
 }
 
+// Preparations run so far: machine.weight_streams takes one sample per
+// prepare_conv.
+std::int64_t prepares() {
+  return telemetry::MetricsRegistry::instance()
+      .histogram("machine.weight_streams")
+      .count();
+}
+
+// Machine rungs (native, pbw, fxp — those that prepare a conv) of `hw`'s
+// ladder down to and including `lowest`.
+std::int64_t machine_rungs_through(const HwConfig& hw,
+                                   resilience::Rung lowest) {
+  std::int64_t n = 1;  // native
+  if (lowest >= resilience::Rung::kPbw && hw.accum != nn::AccumMode::kPbw &&
+      hw.accum != nn::AccumMode::kFxp)
+    ++n;
+  if (lowest >= resilience::Rung::kFxp && hw.accum != nn::AccumMode::kFxp)
+    ++n;
+  return n;
+}
+
+void expect_same_stats(const arch::MachineStats& a,
+                       const arch::MachineStats& b) {
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  EXPECT_EQ(a.retry_stall_cycles, b.retry_stall_cycles);
+  EXPECT_EQ(a.io_stall_cycles, b.io_stall_cycles);
+  EXPECT_EQ(a.nearmem_cycles, b.nearmem_cycles);
+}
+
+void expect_same_outcome(const resilience::LayerOutcome& a,
+                         const resilience::LayerOutcome& b) {
+  EXPECT_EQ(a.layer, b.layer);
+  EXPECT_EQ(a.rung, b.rung);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.tiles, b.tiles);
+  EXPECT_EQ(a.tiles_retried, b.tiles_retried);
+  EXPECT_EQ(a.tiles_recovered, b.tiles_recovered);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.detections, b.detections);
+  EXPECT_EQ(a.backoff_cycles, b.backoff_cycles);
+  EXPECT_EQ(a.abandoned_cycles, b.abandoned_cycles);
+  EXPECT_EQ(a.ledger_ok, b.ledger_ok);
+}
+
 // Tentpole contract at the resilience layer: run_conv_batch's per-item
-// results are byte-identical to solo run_conv on the same inputs, across
-// thread counts and fault modes. Faults force the demote path (the shared
-// native rung drains its budget); no-fault exercises the shared rebind path.
+// results — outputs, cycle ledgers and resilience outcomes — equal solo
+// run_conv on the same inputs, across accumulation modes, thread counts
+// and fault modes. The members walk the ladder together: a batch prepares
+// once per rung tried (once without faults; every machine rung when the
+// persistent fault degrades them all to the reference), and a rebound
+// member keeps the weight reads' ECC retry cycles (the secded defect mode).
 TEST(ResilientExecutor, BatchMatchesSoloAcrossThreadsAndFaults) {
   const BatchFixture f(4);
-  const HwConfig hw = small_hw();
+  const auto secded = FaultConfig::parse("sram=2e-3,ecc=secded,rng=3");
+  ASSERT_TRUE(secded.ok());
+  enum class Mode { kClean, kPersistent, kSecded };
 
-  for (const bool faulted : {false, true}) {
-    std::optional<ScopedFaultInjection> scope;
-    if (faulted)
-      scope.emplace(persistent_fault());
-    else
-      scope.emplace(nullptr);
+  for (const nn::AccumMode accum :
+       {nn::AccumMode::kPbw, nn::AccumMode::kApc, nn::AccumMode::kOr}) {
+    const HwConfig hw = small_hw(accum);
+    for (const Mode mode : {Mode::kClean, Mode::kPersistent, Mode::kSecded}) {
+      std::optional<ScopedFaultInjection> scope;
+      if (mode == Mode::kPersistent)
+        scope.emplace(persistent_fault());
+      else if (mode == Mode::kSecded)
+        scope.emplace(*secded);
+      else
+        scope.emplace(nullptr);
+      const std::string where =
+          "accum=" + std::to_string(static_cast<int>(accum)) +
+          " mode=" + std::to_string(static_cast<int>(mode));
 
-    // Solo references, one fresh executor per request (the serve_one shape).
-    std::vector<arch::MachineResult> expected;
-    std::vector<bool> expected_degraded;
-    for (const auto& input : f.inputs) {
-      resilience::ResilientExecutor solo(hw, resilience::RetryPolicy{});
-      auto r = solo.run_conv(f.shape, f.weights, input, f.ones, f.zeros, 9);
-      ASSERT_TRUE(r.ok());
-      expected.push_back(*std::move(r));
-      expected_degraded.push_back(solo.report().layers.back().degraded);
-    }
-
-    for (const int threads : {1, 8}) {
-      exec::ScopedThreads scoped(threads);
-      resilience::ResilientExecutor executor(hw, resilience::RetryPolicy{});
-      std::vector<resilience::BatchItem> items;
+      // Solo references, one fresh executor per request.
+      std::vector<arch::MachineResult> expected;
+      std::vector<resilience::LayerOutcome> expected_outcomes;
       for (std::size_t i = 0; i < f.inputs.size(); ++i) {
-        resilience::BatchItem item;
-        item.input = f.inputs[i];
-        item.label = "item" + std::to_string(i);
-        items.push_back(std::move(item));
+        resilience::ResilientExecutor solo(hw, resilience::RetryPolicy{});
+        auto r = solo.run_conv(f.shape, f.weights, f.inputs[i], f.ones,
+                               f.zeros, 9, "item" + std::to_string(i));
+        ASSERT_TRUE(r.ok());
+        expected.push_back(*std::move(r));
+        expected_outcomes.push_back(solo.report().layers.back());
       }
-      auto results = executor.run_conv_batch(f.shape, f.weights, f.ones,
-                                             f.zeros, 9, items);
-      ASSERT_EQ(results.size(), f.inputs.size());
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        ASSERT_TRUE(results[i].result.ok())
-            << "faulted=" << faulted << " threads=" << threads << " item " << i;
-        EXPECT_EQ(results[i].result->counters, expected[i].counters)
-            << "faulted=" << faulted << " threads=" << threads << " item " << i;
-        EXPECT_EQ(results[i].result->activations, expected[i].activations);
-        EXPECT_EQ(results[i].degraded, expected_degraded[i]);
-        // No faults: every item rides the shared preparation. Persistent
-        // faults: the shared rung's budget drains and items demote to the
-        // solo ladder.
-        EXPECT_EQ(results[i].shared, !faulted);
+
+      for (const int threads : {1, 8}) {
+        exec::ScopedThreads scoped(threads);
+        resilience::ResilientExecutor executor(hw, resilience::RetryPolicy{});
+        std::vector<resilience::BatchItem> items;
+        for (std::size_t i = 0; i < f.inputs.size(); ++i) {
+          resilience::BatchItem item;
+          item.input = f.inputs[i];
+          item.label = "item" + std::to_string(i);
+          items.push_back(std::move(item));
+        }
+        const std::int64_t prepares_before = prepares();
+        auto results = executor.run_conv_batch(f.shape, f.weights, f.ones,
+                                               f.zeros, 9, items);
+        const std::int64_t batch_prepares = prepares() - prepares_before;
+        ASSERT_EQ(results.size(), f.inputs.size());
+        ASSERT_EQ(executor.report().layers.size(), f.inputs.size());
+        resilience::Rung lowest = resilience::Rung::kNative;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          SCOPED_TRACE(where + " threads=" + std::to_string(threads) +
+                       " item " + std::to_string(i));
+          ASSERT_TRUE(results[i].result.ok());
+          EXPECT_EQ(results[i].result->counters, expected[i].counters);
+          EXPECT_EQ(results[i].result->activations, expected[i].activations);
+          expect_same_stats(results[i].result->stats, expected[i].stats);
+          EXPECT_EQ(results[i].degraded, expected_outcomes[i].degraded);
+          expect_same_outcome(executor.report().layers[i],
+                              expected_outcomes[i]);
+          lowest = std::max(lowest, expected_outcomes[i].rung);
+        }
+        // One preparation per machine rung the group tried.
+        EXPECT_EQ(batch_prepares, machine_rungs_through(hw, lowest)) << where;
+        if (mode == Mode::kClean) EXPECT_EQ(batch_prepares, 1) << where;
+        if (mode == Mode::kPersistent)
+          EXPECT_EQ(lowest, resilience::Rung::kReference) << where;
       }
-      ASSERT_EQ(executor.report().layers.size(), f.inputs.size());
     }
   }
 }
 
 // A transient fault model makes reuse of generated weight streams unsound
-// (regeneration draws fresh per-site sequences) — the batch must fall back
-// to per-item solo execution rather than share the preparation.
+// (regeneration draws fresh per-site sequences) — each member must walk the
+// ladder alone, preparing its own conv, rather than share a preparation.
 TEST(ResilientExecutor, BatchFallsBackPerItemUnderTransientFaults) {
   const BatchFixture f(2);
   auto cfg = FaultConfig::parse("sram=1e-3,ecc=secded,transient=1,rng=5");
@@ -194,13 +262,15 @@ TEST(ResilientExecutor, BatchFallsBackPerItemUnderTransientFaults) {
     item.input = input;
     items.push_back(std::move(item));
   }
+  const std::int64_t prepares_before = prepares();
   auto results = executor.run_conv_batch(f.shape, f.weights, f.ones, f.zeros,
                                          9, items);
   ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.result.ok());
-    EXPECT_FALSE(r.shared);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].result.ok());
+    EXPECT_EQ(executor.report().layers[i].rung, resilience::Rung::kNative);
   }
+  EXPECT_EQ(prepares() - prepares_before, 2);  // one per member
 }
 
 // Server-level byte-identity: a batch=4 server produces, per request, the
@@ -302,8 +372,8 @@ TEST(InferenceServer, MidBatchDeadlineCancelsOnlyExpiredRequest) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
     Request r = f.request(i);
-    // Poll 1: serve_batch's expired-in-queue check. Poll 2: the batch's
-    // per-item entry check. Poll 3: the first in-execution cancellation
+    // Poll 1: dispatch's expired-in-queue check. Poll 2: the ladder's
+    // rung-entry check. Poll 3: the first in-execution cancellation
     // poll — a deterministic mid-execution trip for request 2 only.
     if (i == 2) r.trip_after_polls = 3;
     auto fut = server.submit(std::move(r));
