@@ -16,55 +16,12 @@
 #include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/quantize.hpp"
-#include "sc/progressive.hpp"
 #include "sc/seed_sharing.hpp"
 #include "sc/simd.hpp"
-#include "sc/sng.hpp"
 #include "sc/stream_table.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace geo::arch {
-
-namespace {
-
-// Generates one magnitude stream exactly like the nn SC layers do (shared
-// code path requirement for the bit-exactness contract). `fm` may be null;
-// when set, seed upsets hit the SNG before generation and stream bit flips
-// hit the buffer after — keyed by (domain, site) so the nn reference injects
-// the identical faults into the identical slots. The spec is corrupted
-// BEFORE the stream-table cache is keyed, so a seed-upset stream is served
-// from the corrupted sequence's table, never the healthy one. `use_table`
-// routes through the shared-sequence cache (sc/stream_table.hpp); off, the
-// calling thread's reusable generator ticks bit-serially — bit-identical
-// either way.
-void generate_stream(std::uint64_t* dst, std::size_t wpl, std::size_t length,
-                     const nn::ScLayerConfig& cfg, sc::SeedSpec spec,
-                     std::uint32_t q, fault::FaultModel* fm,
-                     fault::FaultModel::Site domain, std::uint64_t site,
-                     bool use_table) {
-  std::fill(dst, dst + wpl, 0);
-  if (fm != nullptr) spec = fm->corrupt_seed(spec, site);
-  if (q != 0) {
-    const unsigned n = spec.bits;
-    sc::StreamGenerator& gen = sc::StreamGenerator::local();
-    if (cfg.progressive) {
-      sc::ProgressiveSchedule sched;
-      sched.value_bits = cfg.value_bits;
-      sched.lfsr_bits = n;
-      gen.generate_progressive(dst, wpl, length, cfg.rng, spec, sched, q,
-                               use_table);
-    } else {
-      const std::uint32_t vn = n >= cfg.value_bits
-                                   ? q << (n - cfg.value_bits)
-                                   : q >> (cfg.value_bits - n);
-      gen.generate(dst, wpl, length, cfg.rng, spec, vn, use_table);
-    }
-  }
-  // A defective buffer cell flips bits even in an all-zero stream.
-  if (fm != nullptr) fm->corrupt_stream(dst, length, domain, site);
-}
-
-}  // namespace
 
 void apply_bn_relu(std::span<const std::int32_t> counters,
                    std::span<const float> bn_scale,
@@ -154,11 +111,11 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
         if (fm != nullptr)
           q = fm->sram_read(q, cfg.value_bits,
                             fault::FaultModel::Site::kActSram, idx);
-        generate_stream(act.data() + idx * wpl, wpl,
-                        static_cast<std::size_t>(L), cfg,
-                        alloc->activation(static_cast<int>(idx)), q, fm,
-                        fault::FaultModel::Site::kActStream, idx,
-                        use_stream_table);
+        nn::generate_layer_stream(act.data() + idx * wpl, wpl,
+                                  static_cast<std::size_t>(L), cfg,
+                                  alloc->activation(static_cast<int>(idx)), q,
+                                  fm, fault::FaultModel::Site::kActStream, idx,
+                                  use_stream_table);
         flag.store(2, std::memory_order_release);
         flag.notify_all();
         break;
@@ -593,9 +550,9 @@ geo::Status ConvExecution::rebind_input(std::span<const float> input) {
         std::to_string(im.shape.activations()));
   im.input = input;
   // Empty the lazy activation cache: every slot regenerates from the new
-  // input on first use. The buffers themselves are kept (generate_stream
-  // zero-fills its destination before writing), so a rebind allocates only
-  // the per-run result vectors.
+  // input on first use. The buffers themselves are kept
+  // (nn::generate_layer_stream zero-fills its destination before writing),
+  // so a rebind allocates only the per-run result vectors.
   for (std::size_t i = 0; i < input.size(); ++i)
     im.act_ready[i].store(0, std::memory_order_relaxed);
   im.result.counters.assign(static_cast<std::size_t>(im.outputs), 0);
@@ -769,7 +726,7 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
             q = fm->sram_read(q, cfg.value_bits,
                               fault::FaultModel::Site::kWeightSram, idx);
           const sc::SeedSpec spec = impl->alloc->weight({oc, ic, ky, kx});
-          generate_stream(
+          nn::generate_layer_stream(
               (w >= 0.0f ? &impl->wpos : &impl->wneg)->data() + idx * wpl,
               wpl, static_cast<std::size_t>(L), cfg, spec, q, fm,
               fault::FaultModel::Site::kWeightStream, idx,

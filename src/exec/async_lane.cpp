@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -14,11 +15,29 @@ namespace {
 // True on the lane's own thread, so nested submits run inline instead of
 // deadlocking on the single worker.
 thread_local const AsyncLane* t_current_lane = nullptr;
+
+// Runs `fn`, capturing an exception instead of letting it escape.
+std::exception_ptr run_captured(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+void settle(std::promise<void>& done, std::exception_ptr error) {
+  if (error)
+    done.set_exception(std::move(error));
+  else
+    done.set_value();
+}
 }  // namespace
 
 struct AsyncLane::Impl {
   struct Task {
-    std::packaged_task<void()> work;
+    std::function<void()> work;
+    std::promise<void> done;
     fault::FaultModel* fault_model;  // submitter's effective model
   };
 
@@ -42,14 +61,18 @@ struct AsyncLane::Impl {
       Task task = std::move(queue.front());
       queue.pop_front();
       lock.unlock();
+      std::exception_ptr error;
       {
         // Inherit the submitter's fault scope for the task's duration, the
         // same way ThreadPool workers do for parallel_for iterations.
         fault::ScopedFaultOverride scope(task.fault_model);
-        task.work();  // packaged_task captures exceptions into the future
+        error = run_captured(task.work);
       }
       lock.lock();
       --in_flight;
+      // The future becomes ready only after pending() stops counting the
+      // task, so a caller that waited on it sees an exact count.
+      settle(task.done, std::move(error));
     }
   }
 };
@@ -70,16 +93,16 @@ AsyncLane::~AsyncLane() {
 }
 
 std::future<void> AsyncLane::submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> fut = task.get_future();
+  std::promise<void> done;
+  std::future<void> fut = done.get_future();
   if (t_current_lane == this) {
     // Nested submit from a lane task: run inline (the single worker is us).
-    task();
+    settle(done, run_captured(fn));
     return fut;
   }
   {
     std::lock_guard lock(impl_->mu);
-    impl_->queue.push_back({std::move(task), fault::active()});
+    impl_->queue.push_back({std::move(fn), std::move(done), fault::active()});
     ++impl_->in_flight;
   }
   impl_->cv.notify_one();

@@ -36,7 +36,8 @@ class AsyncLane {
   // into the future. Thread-safe.
   std::future<void> submit(std::function<void()> fn);
 
-  // Tasks submitted and not yet finished.
+  // Tasks submitted and not yet finished. A task whose future is ready is
+  // no longer counted.
   std::size_t pending() const;
 
   // The process-wide I/O lane (store prefetch, background scrub). Created

@@ -20,6 +20,11 @@ enum class AccumMode {
 
 const char* to_string(AccumMode mode) noexcept;
 
+// OR-group fan-in of a fully-connected layer under partial-binary
+// accumulation: each group of kFcGroup inputs is ORed, and the groups are
+// summed in fixed point.
+inline constexpr int kFcGroup = 16;
+
 struct ScModelConfig {
   enum class Mode { kFloat, kFixedPoint, kStochastic };
 
@@ -44,7 +49,6 @@ struct ScModelConfig {
   int stream_len_output = 128;  // output layers always 128 (paper)
   bool progressive = false;
   unsigned value_bits = 8;  // stored fixed-point width of weights/activations
-  int fc_group = 16;        // OR-group fan-in for fully-connected layers
   std::uint64_t seed = 1;   // base salt decorrelating layers
 
   // A config string usable as a cache key for trained models.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -62,8 +61,35 @@ ScLayerConfig ScLayerConfig::from_model(const ScModelConfig& model,
   cfg.value_bits = model.value_bits;
   cfg.progressive = model.progressive;
   cfg.layer_salt = model.seed * 1000003ull + static_cast<std::uint64_t>(layer_index);
-  cfg.fc_group = model.fc_group;
   return cfg;
+}
+
+void generate_layer_stream(std::uint64_t* dst, std::size_t wpl,
+                           std::size_t length, const ScLayerConfig& cfg,
+                           sc::SeedSpec spec, std::uint32_t q,
+                           fault::FaultModel* fm,
+                           fault::FaultModel::Site domain, std::uint64_t site,
+                           bool use_table) {
+  std::fill(dst, dst + wpl, 0);
+  if (fm != nullptr) spec = fm->corrupt_seed(spec, site);
+  if (q != 0) {
+    const unsigned n = spec.bits;
+    sc::StreamGenerator& gen = sc::StreamGenerator::local();
+    if (cfg.progressive) {
+      sc::ProgressiveSchedule sched;
+      sched.value_bits = cfg.value_bits;
+      sched.lfsr_bits = n;
+      gen.generate_progressive(dst, wpl, length, cfg.rng, spec, sched, q,
+                               use_table);
+    } else {
+      const std::uint32_t vn = n >= cfg.value_bits
+                                   ? q << (n - cfg.value_bits)
+                                   : q >> (cfg.value_bits - n);
+      gen.generate(dst, wpl, length, cfg.rng, spec, vn, use_table);
+    }
+  }
+  // A defective buffer cell flips bits even in an all-zero stream.
+  if (fm != nullptr) fm->corrupt_stream(dst, length, domain, site);
 }
 
 namespace {
@@ -95,40 +121,6 @@ struct StreamBank {
   std::uint64_t* at(std::size_t i) { return &words[i * wpl]; }
   const std::uint64_t* at(std::size_t i) const { return &words[i * wpl]; }
 };
-
-// Generates one stream into `dst` (wpl words, length bits). `q` is the
-// magnitude in the value_bits fixed-point domain. `fm` may be null; the
-// (domain, site) pair matches the GeoMachine injection sites exactly so the
-// bit-exactness contract holds with faults enabled too — the spec is
-// corrupted before the stream-table cache is keyed, so corrupted seeds get
-// their own (equally corrupted) tables. `use_table` routes through the
-// shared-sequence cache; off, the thread's reusable generator ticks
-// bit-serially. Both paths are bit-identical.
-void generate_stream(std::uint64_t* dst, std::size_t wpl, std::size_t length,
-                     const ScLayerConfig& cfg, sc::SeedSpec spec,
-                     std::uint32_t q, fault::FaultModel* fm,
-                     fault::FaultModel::Site domain, std::uint64_t site,
-                     bool use_table) {
-  std::fill(dst, dst + wpl, 0);
-  if (fm != nullptr) spec = fm->corrupt_seed(spec, site);
-  if (q != 0) {
-    const unsigned n = spec.bits;
-    sc::StreamGenerator& gen = sc::StreamGenerator::local();
-    if (cfg.progressive) {
-      sc::ProgressiveSchedule sched;
-      sched.value_bits = cfg.value_bits;
-      sched.lfsr_bits = n;
-      gen.generate_progressive(dst, wpl, length, cfg.rng, spec, sched, q,
-                               use_table);
-    } else {
-      const std::uint32_t vn = n >= cfg.value_bits
-                                   ? q << (n - cfg.value_bits)
-                                   : q >> (cfg.value_bits - n);
-      gen.generate(dst, wpl, length, cfg.rng, spec, vn, use_table);
-    }
-  }
-  if (fm != nullptr) fm->corrupt_stream(dst, length, domain, site);
-}
 
 // For TRNGs, a fresh pass must see fresh randomness while preserving the
 // sharing structure (equal base seeds stay equal). Deterministic sources
@@ -168,6 +160,14 @@ struct ApcState {
     ch.use_or = !ch.use_or;
   }
 
+  void reset() {
+    for (Channel& ch : channels_) {
+      ch.has_pending = false;
+      ch.use_or = true;
+    }
+    total_ = 0;
+  }
+
   std::int64_t finish(std::size_t wpl) {
     const std::int64_t signs[2] = {+1, -1};
     for (int c = 0; c < 2; ++c) {
@@ -192,6 +192,236 @@ struct ApcState {
   std::int64_t total_ = 0;
 };
 
+// Shape of one SC layer as a convolution. A fully-connected layer is a 1x1
+// convolution on a 1x1 input, as arch::ConvShape::fc models it.
+struct ScGeometry {
+  int cin, h, w, cout, k, stride, pad;
+};
+
+// The SC forward pass shared by ScConv2d and ScLinear.
+//   weights (cout, cin, k, k);  x (nb, cin, h, w);
+//   y, atten (nb, cout, ho, wo)
+// Under OR / partial-binary accumulation, tap t = (ic*k + ky)*k + kx ORs its
+// product into group tap_group[t] of `groups`, and the group popcounts are
+// summed in fixed point. Fxp and APC accumulation take every product
+// directly and leave atten at 1. Fault sites follow the GeoMachine: weight
+// slots (oc*K + t), activation buffer slots (no batch term: the same
+// physical slot misbehaves identically for every image), and accumulator
+// inputs (oidx*K + t)*2, +1 for the negative channel.
+void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
+                const ScGeometry& g, std::span<const float> weights,
+                std::span<const float> x, int nb,
+                std::span<const int> tap_group, int groups,
+                std::span<float> y, std::span<float> atten) {
+  const int L = cfg.stream_len;
+  const std::size_t len = static_cast<std::size_t>(L);
+  const std::size_t wpl = (len + 63) / 64;
+  const int k = g.k;
+  const int K = g.cin * k * k;
+  const sc::SeedAllocator alloc(cfg.sharing, cfg.lfsr_bits(),
+                                sc::KernelExtents{g.cout, g.cin, k, k},
+                                cfg.layer_salt);
+
+  fault::FaultModel* const fm = fault::active();
+  const bool accum_faults = fm != nullptr && fm->accum_active();
+  const bool stuck_faults = fm != nullptr && fm->stuck_enabled();
+  const bool use_table = sc::stream_table_enabled();
+
+  // --- weight streams (fixed for the whole batch) -------------------------
+  StreamBank wpos, wneg;
+  wpos.resize(weights.size(), wpl);
+  wneg.resize(weights.size(), wpl);
+  {
+    std::size_t idx = 0;
+    for (int oc = 0; oc < g.cout; ++oc)
+      for (int ic = 0; ic < g.cin; ++ic)
+        for (int ky = 0; ky < k; ++ky)
+          for (int kx = 0; kx < k; ++kx, ++idx) {
+            const float w = std::clamp(weights[idx], -1.0f, 1.0f);
+            std::uint32_t q = quantize_unsigned(std::abs(w), cfg.value_bits);
+            if (fm != nullptr)
+              q = fm->sram_read(q, cfg.value_bits,
+                                fault::FaultModel::Site::kWeightSram, idx);
+            const sc::SeedSpec spec =
+                pass_spec(cfg, alloc.weight({oc, ic, ky, kx}), pass);
+            generate_layer_stream((w >= 0.0f ? wpos : wneg).at(idx), wpl,
+                                  len, cfg, spec, q, fm,
+                                  fault::FaultModel::Site::kWeightStream, idx,
+                                  use_table);
+          }
+  }
+
+  const int ho = (g.h + 2 * g.pad - k) / g.stride + 1;
+  const int wo = (g.w + 2 * g.pad - k) / g.stride + 1;
+  const std::size_t outputs = static_cast<std::size_t>(g.cout) * ho * wo;
+  const std::size_t slots = static_cast<std::size_t>(g.cin) * g.h * g.w;
+  const bool direct =
+      cfg.accum == AccumMode::kFxp || cfg.accum == AccumMode::kApc;
+  const bool apc_mode = cfg.accum == AccumMode::kApc;
+  std::vector<std::uint64_t> scratch(
+      direct ? 0 : static_cast<std::size_t>(groups) * 2 * wpl);
+  // Per-cycle pos/neg counts, needed only when a stuck parallel-counter
+  // column is modeled on the direct (kFxp) accumulation path.
+  std::vector<std::uint32_t> cyc;
+  if (stuck_faults && cfg.accum == AccumMode::kFxp) cyc.resize(2 * len);
+  // Products are materialized when the accumulator-input wires are faulty or
+  // the accumulator consumes whole product streams (APC pairs, per-cycle
+  // stuck counts); otherwise the AND fuses into the OR or the popcount.
+  const bool stuck_cycles = !cyc.empty();
+  const bool need_prod = accum_faults || apc_mode || stuck_cycles;
+  std::vector<std::uint64_t> prod(2 * wpl);
+  ApcState apc(wpl);
+  StreamBank act;
+  act.resize(slots, wpl);
+  const double inv_len = 1.0 / static_cast<double>(L);
+
+  for (int b = 0; b < nb; ++b) {
+    // --- activation streams for this image --------------------------------
+    const float* xb = x.data() + static_cast<std::size_t>(b) * slots;
+    for (std::size_t idx = 0; idx < slots; ++idx) {
+      const float a = std::clamp(xb[idx], 0.0f, 1.0f);
+      std::uint32_t q = quantize_unsigned(a, cfg.value_bits);
+      if (fm != nullptr)
+        q = fm->sram_read(q, cfg.value_bits,
+                          fault::FaultModel::Site::kActSram, idx);
+      const sc::SeedSpec spec =
+          pass_spec(cfg, alloc.activation(static_cast<int>(idx)), pass);
+      generate_layer_stream(act.at(idx), wpl, len, cfg, spec, q, fm,
+                            fault::FaultModel::Site::kActStream, idx,
+                            use_table);
+    }
+
+    // --- MAC rows ----------------------------------------------------------
+    std::size_t oidx = 0;
+    for (int oc = 0; oc < g.cout; ++oc)
+      for (int oy = 0; oy < ho; ++oy)
+        for (int ox = 0; ox < wo; ++ox, ++oidx) {
+          if (direct) {
+            apc.reset();
+            std::fill(cyc.begin(), cyc.end(), 0);
+          } else {
+            std::fill(scratch.begin(), scratch.end(), 0);
+          }
+          std::int64_t total = 0;
+          for (int ic = 0; ic < g.cin; ++ic)
+            for (int ky = 0; ky < k; ++ky) {
+              const int iy = oy * g.stride - g.pad + ky;
+              if (iy < 0 || iy >= g.h) continue;
+              for (int kx = 0; kx < k; ++kx) {
+                const int ix = ox * g.stride - g.pad + kx;
+                if (ix < 0 || ix >= g.w) continue;
+                const int t = (ic * k + ky) * k + kx;
+                const std::uint64_t* a = act.at(
+                    (static_cast<std::size_t>(ic) * g.h + iy) * g.w + ix);
+                const std::size_t widx = static_cast<std::size_t>(oc) * K + t;
+                const std::uint64_t* wp = wpos.at(widx);
+                const std::uint64_t* wn = wneg.at(widx);
+                const std::uint64_t* pp = prod.data();
+                const std::uint64_t* pn = pp + wpl;
+                if (need_prod) {
+                  for (std::size_t i = 0; i < wpl; ++i) {
+                    prod[i] = a[i] & wp[i];
+                    prod[wpl + i] = a[i] & wn[i];
+                  }
+                  if (accum_faults) {
+                    const std::uint64_t asite =
+                        (static_cast<std::uint64_t>(oidx) * K + t) * 2;
+                    fm->corrupt_accum_input(prod.data(), len, asite);
+                    fm->corrupt_accum_input(prod.data() + wpl, len,
+                                            asite + 1);
+                  }
+                }
+                if (!direct) {
+                  std::uint64_t* gp =
+                      &scratch[static_cast<std::size_t>(tap_group[t]) * 2 *
+                               wpl];
+                  std::uint64_t* gn = gp + wpl;
+                  if (need_prod) {
+                    for (std::size_t i = 0; i < wpl; ++i) {
+                      gp[i] |= pp[i];
+                      gn[i] |= pn[i];
+                    }
+                  } else {
+                    for (std::size_t i = 0; i < wpl; ++i) {
+                      gp[i] |= a[i] & wp[i];
+                      gn[i] |= a[i] & wn[i];
+                    }
+                  }
+                } else if (apc_mode) {
+                  bool has_p = false, has_n = false;
+                  for (std::size_t i = 0; i < wpl; ++i) {
+                    has_p |= pp[i] != 0;
+                    has_n |= pn[i] != 0;
+                  }
+                  if (has_p) apc.push(pp, wpl, +1);
+                  if (has_n) apc.push(pn, wpl, -1);
+                } else if (stuck_cycles) {
+                  for (std::size_t i = 0; i < wpl; ++i) {
+                    for (std::uint64_t bp = pp[i]; bp != 0; bp &= bp - 1)
+                      ++cyc[i * 64 +
+                            static_cast<unsigned>(std::countr_zero(bp))];
+                    for (std::uint64_t bn = pn[i]; bn != 0; bn &= bn - 1)
+                      ++cyc[len + i * 64 +
+                            static_cast<unsigned>(std::countr_zero(bn))];
+                  }
+                } else if (need_prod) {
+                  for (std::size_t i = 0; i < wpl; ++i)
+                    total += std::popcount(pp[i]) - std::popcount(pn[i]);
+                } else {
+                  for (std::size_t i = 0; i < wpl; ++i)
+                    total += std::popcount(a[i] & wp[i]) -
+                             std::popcount(a[i] & wn[i]);
+                }
+              }
+            }
+
+          const std::size_t out =
+              static_cast<std::size_t>(b) * outputs + oidx;
+          if (!direct) {
+            double att = 0.0;
+            for (int gi = 0; gi < groups; ++gi) {
+              const std::uint64_t* gp =
+                  &scratch[static_cast<std::size_t>(gi) * 2 * wpl];
+              const std::uint64_t* gn = gp + wpl;
+              const auto pos =
+                  static_cast<std::int64_t>(popcount_words(gp, wpl));
+              const auto neg =
+                  static_cast<std::int64_t>(popcount_words(gn, wpl));
+              if (stuck_faults) {
+                // Each group's OR output feeds a 1-bit/cycle counter; the
+                // stuck column corrupts it cycle by cycle (matches the
+                // GeoMachine path exactly).
+                for (int c = 0; c < L; ++c) {
+                  total += fm->apply_stuck(static_cast<std::uint32_t>(
+                      (gp[c >> 6] >> (c & 63)) & 1u));
+                  total -= fm->apply_stuck(static_cast<std::uint32_t>(
+                      (gn[c >> 6] >> (c & 63)) & 1u));
+                }
+              } else {
+                total += pos - neg;
+              }
+              att += 1.0 - static_cast<double>(std::max(pos, neg)) * inv_len;
+            }
+            atten[out] = static_cast<float>(std::max(att / groups, 0.05));
+          } else {
+            if (apc_mode) total = apc.finish(wpl);
+            for (std::size_t c = 0; c < cyc.size() / 2; ++c) {
+              total += fm->apply_stuck(cyc[c]);
+              total -= fm->apply_stuck(cyc[len + c]);
+            }
+          }
+          y[out] = static_cast<float>(total * inv_len);
+        }
+  }
+}
+
+// Straight-through gradient scaled per output by the forward pass's
+// attenuation (empty before the first forward).
+Tensor attenuate(Tensor grad_out, const Tensor& atten) {
+  for (std::size_t i = 0; i < atten.size(); ++i) grad_out[i] *= atten[i];
+  return grad_out;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- ScConv2d
@@ -202,292 +432,30 @@ ScConv2d::ScConv2d(int in_ch, int out_ch, int kernel, int stride, int pad,
 
 Tensor ScConv2d::forward(const Tensor& x, bool /*train*/) {
   input_ = x;  // float input for the inherited backward
-  const std::uint64_t pass = forward_count_++;
+  const int k = kernel_;
+  // Partial-binary group of each tap (ic, ky, kx): PBW sums the kernel's W
+  // taps in fixed point, PBHW its H and W taps; OR (and the direct modes,
+  // which ignore groups) use one.
+  int groups = 1;
+  if (cfg_.accum == AccumMode::kPbw) groups = k;
+  if (cfg_.accum == AccumMode::kPbhw) groups = k * k;
+  std::vector<int> tap_group(static_cast<std::size_t>(in_ch_) * k * k);
+  for (std::size_t t = 0; t < tap_group.size(); ++t)
+    tap_group[t] = static_cast<int>(t % static_cast<std::size_t>(groups));
 
-  const int L = cfg_.stream_len;
-  const std::size_t wpl = static_cast<std::size_t>((L + 63) / 64);
-  const unsigned n = cfg_.lfsr_bits();
-  const sc::KernelExtents ext{out_ch_, in_ch_, kernel_, kernel_};
-  const sc::SeedAllocator alloc(cfg_.sharing, n, ext, cfg_.layer_salt);
-
-  fault::FaultModel* const fm = fault::active();
-  const bool accum_faults = fm != nullptr && fm->accum_active();
-  const bool stuck_faults = fm != nullptr && fm->stuck_enabled();
-  const bool use_table = sc::stream_table_enabled();
-
-  // --- weight streams (fixed for the whole batch) -----------------------
-  const std::size_t wcount =
-      static_cast<std::size_t>(out_ch_) * in_ch_ * kernel_ * kernel_;
-  StreamBank wpos, wneg;
-  wpos.resize(wcount, wpl);
-  wneg.resize(wcount, wpl);
-  {
-    std::size_t idx = 0;
-    for (int oc = 0; oc < out_ch_; ++oc)
-      for (int ic = 0; ic < in_ch_; ++ic)
-        for (int ky = 0; ky < kernel_; ++ky)
-          for (int kx = 0; kx < kernel_; ++kx, ++idx) {
-            const float w =
-                std::clamp(weight_.value.at(oc, ic, ky, kx), -1.0f, 1.0f);
-            std::uint32_t q =
-                quantize_unsigned(std::abs(w), cfg_.value_bits);
-            if (fm != nullptr)
-              q = fm->sram_read(q, cfg_.value_bits,
-                                fault::FaultModel::Site::kWeightSram, idx);
-            const sc::SeedSpec spec =
-                pass_spec(cfg_, alloc.weight({oc, ic, ky, kx}), pass);
-            generate_stream((w >= 0.0f ? wpos : wneg).at(idx), wpl,
-                            static_cast<std::size_t>(L), cfg_, spec, q, fm,
-                            fault::FaultModel::Site::kWeightStream, idx,
-                            use_table);
-          }
-  }
-
-  const int h = x.dim(2), w = x.dim(3), nb = x.dim(0);
-  const int ho = (h + 2 * pad_ - kernel_) / stride_ + 1;
-  const int wo = (w + 2 * pad_ - kernel_) / stride_ + 1;
+  const int nb = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const int ho = (h + 2 * pad_ - k) / stride_ + 1;
+  const int wo = (w + 2 * pad_ - k) / stride_ + 1;
   Tensor y({nb, out_ch_, ho, wo});
   atten_ = Tensor({nb, out_ch_, ho, wo}, 1.0f);
-
-  // Group count per output for the partial-binary accumulation mode.
-  int groups = 1;
-  switch (cfg_.accum) {
-    case AccumMode::kOr: groups = 1; break;
-    case AccumMode::kPbw: groups = kernel_; break;
-    case AccumMode::kPbhw: groups = kernel_ * kernel_; break;
-    case AccumMode::kFxp:
-    case AccumMode::kApc: groups = 0; break;  // no OR scratch needed
-  }
-  std::vector<std::uint64_t> scratch(
-      static_cast<std::size_t>(std::max(groups, 1)) * 2 * wpl);
-  std::vector<std::uint64_t> prod(2 * wpl);
-  // Per-cycle pos/neg counts, needed only when a stuck parallel-counter
-  // column is modeled on the direct (kFxp) accumulation path.
-  std::vector<std::uint32_t> cyc;
-  if (stuck_faults && cfg_.accum == AccumMode::kFxp)
-    cyc.resize(2 * static_cast<std::size_t>(L));
-  const int K = in_ch_ * kernel_ * kernel_;
-
-  StreamBank act;
-  act.resize(static_cast<std::size_t>(in_ch_) * h * w, wpl);
-  const double inv_len = 1.0 / static_cast<double>(L);
-
-  for (int b = 0; b < nb; ++b) {
-    // --- activation streams for this image ------------------------------
-    // Fault sites are the buffer slot indices (no batch term): the same
-    // physical SNG buffer slot misbehaves identically for every image.
-    {
-      std::size_t idx = 0;
-      for (int ic = 0; ic < in_ch_; ++ic)
-        for (int iy = 0; iy < h; ++iy)
-          for (int ix = 0; ix < w; ++ix, ++idx) {
-            const float a = std::clamp(x.at(b, ic, iy, ix), 0.0f, 1.0f);
-            std::uint32_t q = quantize_unsigned(a, cfg_.value_bits);
-            if (fm != nullptr)
-              q = fm->sram_read(q, cfg_.value_bits,
-                                fault::FaultModel::Site::kActSram, idx);
-            const sc::SeedSpec spec = pass_spec(
-                cfg_, alloc.activation(static_cast<int>(idx)), pass);
-            generate_stream(act.at(idx), wpl, static_cast<std::size_t>(L),
-                            cfg_, spec, q, fm,
-                            fault::FaultModel::Site::kActStream, idx,
-                            use_table);
-          }
-    }
-
-    // --- MAC rows --------------------------------------------------------
-    for (int oc = 0; oc < out_ch_; ++oc)
-      for (int oy = 0; oy < ho; ++oy)
-        for (int ox = 0; ox < wo; ++ox) {
-          std::int64_t total = 0;
-          if (cfg_.accum == AccumMode::kOr || cfg_.accum == AccumMode::kPbw ||
-              cfg_.accum == AccumMode::kPbhw) {
-            std::fill(scratch.begin(), scratch.end(), 0);
-            for (int ic = 0; ic < in_ch_; ++ic)
-              for (int ky = 0; ky < kernel_; ++ky) {
-                const int iy = oy * stride_ - pad_ + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (int kx = 0; kx < kernel_; ++kx) {
-                  const int ix = ox * stride_ - pad_ + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  int g = 0;
-                  if (cfg_.accum == AccumMode::kPbw)
-                    g = kx;
-                  else if (cfg_.accum == AccumMode::kPbhw)
-                    g = ky * kernel_ + kx;
-                  const std::uint64_t* a = act.at(
-                      (static_cast<std::size_t>(ic) * h + iy) * w + ix);
-                  const std::size_t widx =
-                      ((static_cast<std::size_t>(oc) * in_ch_ + ic) *
-                           kernel_ +
-                       ky) *
-                          kernel_ +
-                      kx;
-                  const std::uint64_t* wp = wpos.at(widx);
-                  const std::uint64_t* wn = wneg.at(widx);
-                  std::uint64_t* gp = &scratch[static_cast<std::size_t>(g) *
-                                               2 * wpl];
-                  std::uint64_t* gn = gp + wpl;
-                  if (accum_faults) {
-                    for (std::size_t k = 0; k < wpl; ++k) {
-                      prod[k] = a[k] & wp[k];
-                      prod[wpl + k] = a[k] & wn[k];
-                    }
-                    const std::size_t oidx =
-                        (static_cast<std::size_t>(oc) * ho + oy) * wo + ox;
-                    const std::uint64_t asite =
-                        (static_cast<std::uint64_t>(oidx) * K +
-                         (static_cast<std::uint64_t>(ic) * kernel_ + ky) *
-                             kernel_ +
-                         kx) *
-                        2;
-                    fm->corrupt_accum_input(prod.data(),
-                                            static_cast<std::size_t>(L),
-                                            asite);
-                    fm->corrupt_accum_input(prod.data() + wpl,
-                                            static_cast<std::size_t>(L),
-                                            asite + 1);
-                    for (std::size_t k = 0; k < wpl; ++k) {
-                      gp[k] |= prod[k];
-                      gn[k] |= prod[wpl + k];
-                    }
-                  } else {
-                    for (std::size_t k = 0; k < wpl; ++k) {
-                      gp[k] |= a[k] & wp[k];
-                      gn[k] |= a[k] & wn[k];
-                    }
-                  }
-                }
-              }
-            const int used = std::max(groups, 1);
-            double atten = 0.0;
-            for (int g = 0; g < used; ++g) {
-              const std::uint64_t* gp =
-                  &scratch[static_cast<std::size_t>(g) * 2 * wpl];
-              const std::uint64_t* gn = gp + wpl;
-              const auto pos =
-                  static_cast<std::int64_t>(popcount_words(gp, wpl));
-              const auto neg =
-                  static_cast<std::int64_t>(popcount_words(gn, wpl));
-              if (stuck_faults) {
-                // Each group's OR output feeds a 1-bit/cycle counter; the
-                // stuck column corrupts it cycle by cycle (matches the
-                // GeoMachine path exactly).
-                for (int t = 0; t < L; ++t) {
-                  total += fm->apply_stuck(static_cast<std::uint32_t>(
-                      (gp[t >> 6] >> (t & 63)) & 1u));
-                  total -= fm->apply_stuck(static_cast<std::uint32_t>(
-                      (gn[t >> 6] >> (t & 63)) & 1u));
-                }
-              } else {
-                total += pos - neg;
-              }
-              atten += 1.0 - static_cast<double>(std::max(pos, neg)) * inv_len;
-            }
-            atten_.at(b, oc, oy, ox) = static_cast<float>(
-                std::max(atten / used, 0.05));
-          } else {
-            ApcState apc(wpl);
-            if (!cyc.empty()) std::fill(cyc.begin(), cyc.end(), 0);
-            for (int ic = 0; ic < in_ch_; ++ic)
-              for (int ky = 0; ky < kernel_; ++ky) {
-                const int iy = oy * stride_ - pad_ + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (int kx = 0; kx < kernel_; ++kx) {
-                  const int ix = ox * stride_ - pad_ + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  const std::uint64_t* a = act.at(
-                      (static_cast<std::size_t>(ic) * h + iy) * w + ix);
-                  const std::size_t widx =
-                      ((static_cast<std::size_t>(oc) * in_ch_ + ic) *
-                           kernel_ +
-                       ky) *
-                          kernel_ +
-                      kx;
-                  const std::uint64_t* wp = wpos.at(widx);
-                  const std::uint64_t* wn = wneg.at(widx);
-                  const bool need_prod = accum_faults || !cyc.empty() ||
-                                         cfg_.accum == AccumMode::kApc;
-                  if (need_prod) {
-                    for (std::size_t k = 0; k < wpl; ++k) {
-                      prod[k] = a[k] & wp[k];
-                      prod[wpl + k] = a[k] & wn[k];
-                    }
-                    if (accum_faults) {
-                      const std::size_t oidx =
-                          (static_cast<std::size_t>(oc) * ho + oy) * wo + ox;
-                      const std::uint64_t asite =
-                          (static_cast<std::uint64_t>(oidx) * K +
-                           (static_cast<std::uint64_t>(ic) * kernel_ + ky) *
-                               kernel_ +
-                           kx) *
-                          2;
-                      fm->corrupt_accum_input(prod.data(),
-                                              static_cast<std::size_t>(L),
-                                              asite);
-                      fm->corrupt_accum_input(prod.data() + wpl,
-                                              static_cast<std::size_t>(L),
-                                              asite + 1);
-                    }
-                  }
-                  if (cfg_.accum == AccumMode::kFxp) {
-                    if (!cyc.empty()) {
-                      for (std::size_t k = 0; k < wpl; ++k) {
-                        std::uint64_t bp = prod[k];
-                        while (bp != 0) {
-                          ++cyc[k * 64 + static_cast<unsigned>(
-                                             std::countr_zero(bp))];
-                          bp &= bp - 1;
-                        }
-                        std::uint64_t bn = prod[wpl + k];
-                        while (bn != 0) {
-                          ++cyc[static_cast<std::size_t>(L) + k * 64 +
-                                static_cast<unsigned>(std::countr_zero(bn))];
-                          bn &= bn - 1;
-                        }
-                      }
-                    } else if (need_prod) {
-                      for (std::size_t k = 0; k < wpl; ++k) {
-                        total += std::popcount(prod[k]);
-                        total -= std::popcount(prod[wpl + k]);
-                      }
-                    } else {
-                      for (std::size_t k = 0; k < wpl; ++k) {
-                        total += std::popcount(a[k] & wp[k]);
-                        total -= std::popcount(a[k] & wn[k]);
-                      }
-                    }
-                  } else {  // kApc
-                    bool has_p = false, has_n = false;
-                    for (std::size_t k = 0; k < wpl; ++k) {
-                      has_p |= prod[k] != 0;
-                      has_n |= prod[wpl + k] != 0;
-                    }
-                    if (has_p) apc.push(prod.data(), wpl, +1);
-                    if (has_n) apc.push(prod.data() + wpl, wpl, -1);
-                  }
-                }
-              }
-            if (cfg_.accum == AccumMode::kApc) total = apc.finish(wpl);
-            if (!cyc.empty()) {
-              for (int t = 0; t < L; ++t) {
-                total += fm->apply_stuck(cyc[static_cast<std::size_t>(t)]);
-                total -= fm->apply_stuck(
-                    cyc[static_cast<std::size_t>(L) + t]);
-              }
-            }
-          }
-          y.at(b, oc, oy, ox) = static_cast<float>(total * inv_len);
-        }
-  }
+  sc_forward(cfg_, forward_count_++,
+             {in_ch_, h, w, out_ch_, k, stride_, pad_}, weight_.value.data(),
+             x.data(), nb, tap_group, groups, y.data(), atten_.data());
   return y;
 }
 
 Tensor ScConv2d::backward(const Tensor& grad_out) {
-  if (atten_.empty()) return Conv2d::backward(grad_out);
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= atten_[i];
-  return Conv2d::backward(g);
+  return Conv2d::backward(attenuate(grad_out, atten_));
 }
 
 // ------------------------------------------------------------- ScLinear
@@ -498,205 +466,28 @@ ScLinear::ScLinear(int in_features, int out_features, std::mt19937& rng,
 
 Tensor ScLinear::forward(const Tensor& x, bool /*train*/) {
   input_ = x;
-  const std::uint64_t pass = forward_count_++;
-
-  const int L = cfg_.stream_len;
-  const std::size_t wpl = static_cast<std::size_t>((L + 63) / 64);
-  const unsigned n = cfg_.lfsr_bits();
-  // An FC layer maps onto the MAC row as a (in, 1, 1) kernel per output.
-  const sc::KernelExtents ext{out_, in_, 1, 1};
-  const sc::SeedAllocator alloc(cfg_.sharing, n, ext, cfg_.layer_salt);
-
-  fault::FaultModel* const fm = fault::active();
-  const bool accum_faults = fm != nullptr && fm->accum_active();
-  const bool stuck_faults = fm != nullptr && fm->stuck_enabled();
-  const bool use_table = sc::stream_table_enabled();
-
-  StreamBank wposb, wnegb;
-  const std::size_t wcount = static_cast<std::size_t>(out_) * in_;
-  wposb.resize(wcount, wpl);
-  wnegb.resize(wcount, wpl);
-  for (int o = 0; o < out_; ++o)
-    for (int i = 0; i < in_; ++i) {
-      const std::size_t idx = static_cast<std::size_t>(o) * in_ + i;
-      const float w = std::clamp(weight_.value.at(o, i), -1.0f, 1.0f);
-      std::uint32_t q = quantize_unsigned(std::abs(w), cfg_.value_bits);
-      if (fm != nullptr)
-        q = fm->sram_read(q, cfg_.value_bits,
-                          fault::FaultModel::Site::kWeightSram, idx);
-      const sc::SeedSpec spec = pass_spec(cfg_, alloc.weight({o, i, 0, 0}), pass);
-      generate_stream((w >= 0.0f ? wposb : wnegb).at(idx), wpl,
-                      static_cast<std::size_t>(L), cfg_, spec, q, fm,
-                      fault::FaultModel::Site::kWeightStream, idx,
-                      use_table);
-    }
+  // Partial-binary accumulation sums OR groups of kFcGroup inputs in fixed
+  // point; all-OR accumulation ORs every input into one group.
+  const bool or_all = cfg_.accum == AccumMode::kOr;
+  const int groups = or_all ? 1 : (in_ + kFcGroup - 1) / kFcGroup;
+  std::vector<int> tap_group(static_cast<std::size_t>(in_));
+  for (int i = 0; i < in_; ++i)
+    tap_group[static_cast<std::size_t>(i)] = or_all ? 0 : i / kFcGroup;
 
   const int nb = x.dim(0);
   Tensor y({nb, out_});
   atten_ = Tensor({nb, out_}, 1.0f);
-  const int group_size =
-      cfg_.accum == AccumMode::kOr ? in_ : std::max(cfg_.fc_group, 1);
-  const int groups = (in_ + group_size - 1) / group_size;
-  std::vector<std::uint64_t> scratch(static_cast<std::size_t>(groups) * 2 *
-                                     wpl);
-  std::vector<std::uint64_t> prod(2 * wpl);
-  std::vector<std::uint32_t> cyc;
-  if (stuck_faults && cfg_.accum == AccumMode::kFxp)
-    cyc.resize(2 * static_cast<std::size_t>(L));
-  StreamBank act;
-  act.resize(static_cast<std::size_t>(in_), wpl);
-  const double inv_len = 1.0 / static_cast<double>(L);
-
-  for (int b = 0; b < nb; ++b) {
-    for (int i = 0; i < in_; ++i) {
-      const float a = std::clamp(x.at(b, i), 0.0f, 1.0f);
-      std::uint32_t q = quantize_unsigned(a, cfg_.value_bits);
-      if (fm != nullptr)
-        q = fm->sram_read(q, cfg_.value_bits,
-                          fault::FaultModel::Site::kActSram,
-                          static_cast<std::uint64_t>(i));
-      const sc::SeedSpec spec = pass_spec(cfg_, alloc.activation(i), pass);
-      generate_stream(act.at(static_cast<std::size_t>(i)), wpl,
-                      static_cast<std::size_t>(L), cfg_, spec, q, fm,
-                      fault::FaultModel::Site::kActStream,
-                      static_cast<std::uint64_t>(i), use_table);
-    }
-    for (int o = 0; o < out_; ++o) {
-      std::int64_t total = 0;
-      if (cfg_.accum == AccumMode::kFxp || cfg_.accum == AccumMode::kApc) {
-        ApcState apc(wpl);
-        if (!cyc.empty()) std::fill(cyc.begin(), cyc.end(), 0);
-        for (int i = 0; i < in_; ++i) {
-          const std::uint64_t* a = act.at(static_cast<std::size_t>(i));
-          const std::size_t widx = static_cast<std::size_t>(o) * in_ + i;
-          const std::uint64_t* wp = wposb.at(widx);
-          const std::uint64_t* wn = wnegb.at(widx);
-          const bool need_prod = accum_faults || !cyc.empty() ||
-                                 cfg_.accum == AccumMode::kApc;
-          if (need_prod) {
-            for (std::size_t k = 0; k < wpl; ++k) {
-              prod[k] = a[k] & wp[k];
-              prod[wpl + k] = a[k] & wn[k];
-            }
-            if (accum_faults) {
-              const std::uint64_t asite = static_cast<std::uint64_t>(widx) * 2;
-              fm->corrupt_accum_input(prod.data(),
-                                      static_cast<std::size_t>(L), asite);
-              fm->corrupt_accum_input(prod.data() + wpl,
-                                      static_cast<std::size_t>(L), asite + 1);
-            }
-          }
-          if (cfg_.accum == AccumMode::kFxp) {
-            if (!cyc.empty()) {
-              for (std::size_t k = 0; k < wpl; ++k) {
-                std::uint64_t bp = prod[k];
-                while (bp != 0) {
-                  ++cyc[k * 64 +
-                        static_cast<unsigned>(std::countr_zero(bp))];
-                  bp &= bp - 1;
-                }
-                std::uint64_t bn = prod[wpl + k];
-                while (bn != 0) {
-                  ++cyc[static_cast<std::size_t>(L) + k * 64 +
-                        static_cast<unsigned>(std::countr_zero(bn))];
-                  bn &= bn - 1;
-                }
-              }
-            } else if (need_prod) {
-              for (std::size_t k = 0; k < wpl; ++k) {
-                total += std::popcount(prod[k]);
-                total -= std::popcount(prod[wpl + k]);
-              }
-            } else {
-              for (std::size_t k = 0; k < wpl; ++k) {
-                total += std::popcount(a[k] & wp[k]);
-                total -= std::popcount(a[k] & wn[k]);
-              }
-            }
-          } else {
-            bool has_p = false, has_n = false;
-            for (std::size_t k = 0; k < wpl; ++k) {
-              has_p |= prod[k] != 0;
-              has_n |= prod[wpl + k] != 0;
-            }
-            if (has_p) apc.push(prod.data(), wpl, +1);
-            if (has_n) apc.push(prod.data() + wpl, wpl, -1);
-          }
-        }
-        if (cfg_.accum == AccumMode::kApc) total = apc.finish(wpl);
-        if (!cyc.empty()) {
-          for (int t = 0; t < L; ++t) {
-            total += fm->apply_stuck(cyc[static_cast<std::size_t>(t)]);
-            total -= fm->apply_stuck(cyc[static_cast<std::size_t>(L) + t]);
-          }
-        }
-      } else {
-        std::fill(scratch.begin(), scratch.end(), 0);
-        for (int i = 0; i < in_; ++i) {
-          const int g = i / group_size;
-          const std::uint64_t* a = act.at(static_cast<std::size_t>(i));
-          const std::size_t widx = static_cast<std::size_t>(o) * in_ + i;
-          const std::uint64_t* wp = wposb.at(widx);
-          const std::uint64_t* wn = wnegb.at(widx);
-          std::uint64_t* gp = &scratch[static_cast<std::size_t>(g) * 2 * wpl];
-          std::uint64_t* gn = gp + wpl;
-          if (accum_faults) {
-            for (std::size_t k = 0; k < wpl; ++k) {
-              prod[k] = a[k] & wp[k];
-              prod[wpl + k] = a[k] & wn[k];
-            }
-            const std::uint64_t asite = static_cast<std::uint64_t>(widx) * 2;
-            fm->corrupt_accum_input(prod.data(), static_cast<std::size_t>(L),
-                                    asite);
-            fm->corrupt_accum_input(prod.data() + wpl,
-                                    static_cast<std::size_t>(L), asite + 1);
-            for (std::size_t k = 0; k < wpl; ++k) {
-              gp[k] |= prod[k];
-              gn[k] |= prod[wpl + k];
-            }
-          } else {
-            for (std::size_t k = 0; k < wpl; ++k) {
-              gp[k] |= a[k] & wp[k];
-              gn[k] |= a[k] & wn[k];
-            }
-          }
-        }
-        double atten = 0.0;
-        for (int g = 0; g < groups; ++g) {
-          const std::uint64_t* gp =
-              &scratch[static_cast<std::size_t>(g) * 2 * wpl];
-          const std::uint64_t* gn = gp + wpl;
-          const auto pos =
-              static_cast<std::int64_t>(popcount_words(gp, wpl));
-          const auto neg =
-              static_cast<std::int64_t>(popcount_words(gn, wpl));
-          if (stuck_faults) {
-            for (int t = 0; t < L; ++t) {
-              total += fm->apply_stuck(static_cast<std::uint32_t>(
-                  (gp[t >> 6] >> (t & 63)) & 1u));
-              total -= fm->apply_stuck(static_cast<std::uint32_t>(
-                  (gn[t >> 6] >> (t & 63)) & 1u));
-            }
-          } else {
-            total += pos - neg;
-          }
-          atten += 1.0 - static_cast<double>(std::max(pos, neg)) * inv_len;
-        }
-        atten_.at(b, o) =
-            static_cast<float>(std::max(atten / groups, 0.05));
-      }
-      y.at(b, o) = static_cast<float>(total * inv_len) +
-                   bias_.value[static_cast<std::size_t>(o)];
-    }
-  }
+  sc_forward(cfg_, forward_count_++, {in_, 1, 1, out_, 1, 1, 0},
+             weight_.value.data(), x.data(), nb, tap_group, groups, y.data(),
+             atten_.data());
+  for (int b = 0; b < nb; ++b)
+    for (int o = 0; o < out_; ++o)
+      y.at(b, o) += bias_.value[static_cast<std::size_t>(o)];
   return y;
 }
 
 Tensor ScLinear::backward(const Tensor& grad_out) {
-  if (atten_.empty()) return Linear::backward(grad_out);
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= atten_[i];
-  return Linear::backward(g);
+  return Linear::backward(attenuate(grad_out, atten_));
 }
 
 // ------------------------------------------------------------- Quantized

@@ -7,6 +7,12 @@
 // accumulation (Sec. III-B). backward() is inherited from the float layers —
 // SC forward guided by floating-point backpropagation, as in the paper.
 //
+// Both layers run one SC forward core: as on GEO's MAC rows, a
+// fully-connected layer is a 1x1 convolution on a 1x1 input, so stream
+// generation, fault-site keying, accumulation and gradient attenuation exist
+// once. GeoMachine generates its streams with the same generate_layer_stream,
+// which is what the machine-equals-reference contract rests on.
+//
 // Activations are unipolar (post-ReLU values in [0, 1]); weights are signed,
 // so each weight carries a positive or a negative channel stream and every
 // product needs two ANDs. Per-channel accumulation runs over packed 64-bit
@@ -17,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "fault/fault_model.hpp"
 #include "nn/layers.hpp"
 #include "nn/sc_config.hpp"
 
@@ -32,7 +39,6 @@ struct ScLayerConfig {
   unsigned value_bits = 8;
   bool progressive = false;
   std::uint64_t layer_salt = 0;
-  int fc_group = 16;
 
   // GEO matches LFSR width to stream length: streams of 2^n use n bits.
   unsigned lfsr_bits() const;
@@ -41,6 +47,23 @@ struct ScLayerConfig {
   static ScLayerConfig from_model(const ScModelConfig& model, int stream_len,
                                   int layer_index);
 };
+
+// Generates one magnitude stream into `dst` (wpl words, `length` bits).
+// `q` is the magnitude in the value_bits fixed-point domain. `fm` may be
+// null; when set, a seed upset hits the SNG before generation and stream bit
+// flips hit the buffer after, keyed by (domain, site), so the nn layers and
+// GeoMachine inject identical faults into identical slots. The spec is
+// corrupted before the stream-table cache is keyed, so a seed-upset stream
+// is served from the corrupted sequence's table, never the healthy one.
+// `use_table` routes through the shared-sequence cache
+// (sc/stream_table.hpp); off, the calling thread's reusable generator ticks
+// bit-serially. Both paths are bit-identical.
+void generate_layer_stream(std::uint64_t* dst, std::size_t wpl,
+                           std::size_t length, const ScLayerConfig& cfg,
+                           sc::SeedSpec spec, std::uint32_t q,
+                           fault::FaultModel* fm,
+                           fault::FaultModel::Site domain, std::uint64_t site,
+                           bool use_table);
 
 // Bit-exact fixed-point reference for one convolution layer: quantizes the
 // operands exactly like the SC stream generators (|w| and a to `value_bits`

@@ -205,7 +205,6 @@ class InferenceServer {
 
  private:
   struct Pending;
-  struct PrewarmCounters;
 
   void worker_main(int replica);
   // Runs one claimed batch (the leader first, then the requests coalesced
@@ -243,11 +242,8 @@ class InferenceServer {
       shed_queue_{0}, shed_quota_{0}, completed_{0}, ok_{0}, degraded_{0},
       steered_{0}, deadline_expired_{0}, failed_{0}, failovers_{0},
       quarantines_{0}, probes_{0}, readmits_{0}, batches_{0},
-      batched_requests_{0};
-
-  // Shared with detached prewarm tasks on exec::AsyncLane::io(), which may
-  // outlive this server — they capture the shared_ptr, never `this`.
-  std::shared_ptr<PrewarmCounters> prewarm_;
+      batched_requests_{0}, prewarms_{0}, prewarm_pins_{0},
+      prewarm_tables_{0};
 
   std::vector<std::thread> workers_;
 };

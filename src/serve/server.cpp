@@ -62,15 +62,6 @@ struct InferenceServer::Pending {
   }
 };
 
-// Prewarm bookkeeping shared with detached exec::AsyncLane::io() tasks: a
-// task may complete after the server is gone, so it holds this shared_ptr,
-// never the server.
-struct InferenceServer::PrewarmCounters {
-  std::atomic<std::int64_t> scheduled{0};
-  std::atomic<std::int64_t> pins{0};
-  std::atomic<std::int64_t> tables{0};
-};
-
 InferenceServer::InferenceServer(const arch::HwConfig& hw,
                                  ServeOptions options)
     : hw_(hw),
@@ -101,7 +92,6 @@ InferenceServer::InferenceServer(const arch::HwConfig& hw,
   m.histogram("serve.exec_us");
   m.histogram("serve.latency_us");
   m.histogram("serve.batch_occupancy");
-  prewarm_ = std::make_shared<PrewarmCounters>();
   journal_event("serve.start", "server", {}, options_.to_string());
   workers_.reserve(static_cast<std::size_t>(options_.replicas));
   for (int r = 0; r < options_.replicas; ++r)
@@ -116,6 +106,10 @@ InferenceServer::~InferenceServer() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
+  // The io lane is FIFO: once this no-op has run, every prewarm task this
+  // server scheduled has finished, so none outlives it (or the statics it
+  // touches, at process exit).
+  exec::AsyncLane::io().submit([] {}).wait();
   journal_event("serve.stop", "server",
                 {{"completed", static_cast<double>(
                                    completed_.load(std::memory_order_relaxed))}});
@@ -549,26 +543,23 @@ void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
 }
 
 void InferenceServer::schedule_prewarm(const Request& req) {
-  // Called under mu_ from submit(). The task captures values and shared
-  // ownership only — never `this` — so a server torn down with prewarms
-  // still in the lane is safe; the counters outlive it.
-  prewarm_->scheduled.fetch_add(1, std::memory_order_relaxed);
+  // Called under mu_ from submit(). The task may use `this`: the
+  // destructor drains the io lane before the server goes away.
+  prewarms_.fetch_add(1, std::memory_order_relaxed);
   telemetry::MetricsRegistry::instance().counter("serve.prewarm").add();
-  std::shared_ptr<PrewarmCounters> counters = prewarm_;
   std::shared_ptr<store::WeightStore> store =
       req.store_layer.empty() ? nullptr : store_;
   const arch::HwConfig hw = hw_;
   const arch::ConvShape shape = req.shape;
   const std::uint64_t salt = req.layer_salt;
   const std::string store_layer = req.store_layer;
-  exec::AsyncLane::io().submit([counters, store, hw, shape, salt,
-                                store_layer] {
+  exec::AsyncLane::io().submit([this, store, hw, shape, salt, store_layer] {
     auto& metrics = telemetry::MetricsRegistry::instance();
     if (store != nullptr) {
       // Pinning loads + verifies the layer's blocks into the store cache;
       // dropping the pin keeps the cached blocks warm for dispatch.
       if (auto pin = store->pin(store_layer); pin.ok()) {
-        counters->pins.fetch_add(1, std::memory_order_relaxed);
+        prewarm_pins_.fetch_add(1, std::memory_order_relaxed);
         metrics.counter("serve.prewarm_pins").add();
       }
     }
@@ -603,7 +594,7 @@ void InferenceServer::schedule_prewarm(const Request& req) {
           for (int kx = 0; kx < shape.kw; ++kx)
             acquire_once(alloc.weight(sc::WeightPos{oc, ic, ky, kx}));
     if (acquired > 0) {
-      counters->tables.fetch_add(acquired, std::memory_order_relaxed);
+      prewarm_tables_.fetch_add(acquired, std::memory_order_relaxed);
       metrics.counter("serve.prewarm_tables").add(acquired);
     }
   });
@@ -685,9 +676,9 @@ ServeStats InferenceServer::stats() const {
   s.readmits = readmits_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  s.prewarms = prewarm_->scheduled.load(std::memory_order_relaxed);
-  s.prewarm_pins = prewarm_->pins.load(std::memory_order_relaxed);
-  s.prewarm_tables = prewarm_->tables.load(std::memory_order_relaxed);
+  s.prewarms = prewarms_.load(std::memory_order_relaxed);
+  s.prewarm_pins = prewarm_pins_.load(std::memory_order_relaxed);
+  s.prewarm_tables = prewarm_tables_.load(std::memory_order_relaxed);
   std::lock_guard lock(mu_);
   s.queue_depth = static_cast<std::int64_t>(queue_.size());
   s.served_by = served_by_;

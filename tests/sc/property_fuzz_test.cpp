@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sc/bitstream.hpp"
-#include "sc/split_unipolar.hpp"
 #include "sc/lfsr.hpp"
 #include "sc/ops.hpp"
 #include "sc/parallel_counter.hpp"
@@ -144,24 +143,6 @@ TEST(OrAccumulateFuzz, IdempotentAndCommutative) {
   const Bitstream aab[] = {a, a, b};
   EXPECT_EQ(or_accumulate(ab), or_accumulate(ba));
   EXPECT_EQ(or_accumulate(aab), or_accumulate(ab));
-}
-
-// Split-unipolar algebra on random signed values.
-TEST(SplitFuzz, MultiplySignTable) {
-  std::mt19937 rng(31);
-  std::uniform_real_distribution<double> v_dist(-1.0, 1.0);
-  for (int round = 0; round < 40; ++round) {
-    const double va = v_dist(rng), vb = v_dist(rng);
-    Sng sa(RngKind::kLfsr,
-           SeedSpec{.bits = 8, .seed = 3 + 2 * static_cast<unsigned>(round)});
-    Sng sb(RngKind::kLfsr,
-           SeedSpec{.bits = 8,
-                    .seed = 119 + 2 * static_cast<unsigned>(round)});
-    const SplitStream a = generate_split(sa, split_quantize(va, 8), 2048);
-    const SplitStream b = generate_split(sb, split_quantize(vb, 8), 2048);
-    ASSERT_NEAR(split_multiply(a, b).value(), va * vb, 0.08)
-        << "va=" << va << " vb=" << vb;
-  }
 }
 
 }  // namespace
