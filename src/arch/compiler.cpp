@@ -9,6 +9,8 @@
 namespace geo::arch {
 
 namespace {
+constexpr std::int64_t kMaxOperand = 32767;  // largest 16-bit ISA operand
+
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
@@ -235,26 +237,27 @@ LayerPlan Compiler::plan_layer(const ConvShape& shape, Dataflow df) const {
 
   // ---- instruction stream ------------------------------------------------
   Program& p = plan.program;
+  // Operands are 16-bit; a larger count becomes repeated instructions.
+  auto push_count = [&p](Opcode op, std::int64_t count) {
+    do {
+      const std::int64_t n = std::min<std::int64_t>(count, kMaxOperand);
+      p.push(op, static_cast<std::int32_t>(n));
+      count -= n;
+    } while (count > 0);
+  };
   p.push(Opcode::kConfig, plan.stream_len, plan.lfsr_bits,
          static_cast<std::int32_t>(hw_.accum));
-  if (hw_.external_memory)
-    p.push(Opcode::kLoadExt, static_cast<std::int32_t>(std::min<std::int64_t>(
-                                 acc.ext_bytes, 32767)));
-  // One representative pass sequence; the simulator scales by plan.passes.
-  p.push(Opcode::kLoadWgt, static_cast<std::int32_t>(std::min<std::int64_t>(
-                               plan.wgt_loads_per_pass, 32767)));
-  p.push(Opcode::kLoadAct, static_cast<std::int32_t>(std::min<std::int64_t>(
-                               plan.act_loads_per_pass, 32767)));
+  if (hw_.external_memory) push_count(Opcode::kLoadExt, acc.ext_bytes);
+  // One representative pass sequence; the layer repeats it plan.passes times.
+  push_count(Opcode::kLoadWgt, plan.wgt_loads_per_pass);
+  push_count(Opcode::kLoadAct, plan.act_loads_per_pass);
   p.push(Opcode::kBarrier);
   const std::int64_t outputs_per_pass =
       std::min<std::int64_t>(shape.cout, R) * plan.windows_per_pass;
+  // At most rows x windows_per_row outputs, well inside one operand.
   p.push(Opcode::kGenExec, plan.stream_cycles,
-         static_cast<std::int32_t>(std::min<std::int64_t>(outputs_per_pass,
-                                                          32767)));
-  if (plan.nm_psum_ops > 0)
-    p.push(Opcode::kNearMemAcc,
-           static_cast<std::int32_t>(std::min<std::int64_t>(outputs_per_pass,
-                                                            32767)));
+         static_cast<std::int32_t>(outputs_per_pass));
+  if (plan.nm_psum_ops > 0) push_count(Opcode::kNearMemAcc, outputs_per_pass);
   if (shape.pool) p.push(Opcode::kPool, 4);
   if (hw_.near_memory) p.push(Opcode::kNearMemBn, 1);
   p.push(Opcode::kStoreOut, 1);

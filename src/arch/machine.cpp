@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "arch/attribution.hpp"
+#include "arch/perf_sim.hpp"
 #include "exec/parallel_conv.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
@@ -49,6 +50,7 @@ struct ConvExecution::Impl {
   HwConfig hw;
   ConvShape shape;
   LayerPlan plan;
+  PassCost pass;  // charged on every pass run_tile runs
   nn::ScLayerConfig cfg;
   std::span<const float> input;
   std::vector<float> bn_scale, bn_shift;
@@ -63,7 +65,6 @@ struct ConvExecution::Impl {
   int K = 0, ho = 0, wo = 0;
   std::int64_t outputs = 0, xy = 0, M = 0;
   int R = 0, chans_at_once = 0, windows_per_pass = 0, slices = 0, groups = 0;
-  double fill = 0, bits_per_value = 0;
   bool direct_accum = false, accum_faults = false, stuck_faults = false;
   // GEO_STREAM_TABLE, sampled once per layer so a run's generation strategy
   // is coherent even if the environment changes mid-layer.
@@ -179,24 +180,12 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
          {"act_fills", static_cast<double>(plan.act_loads_per_pass)},
          {"wgt_fills", static_cast<double>(plan.wgt_loads_per_pass)}});
     ++st.passes;
-    // -- reload accounting (the functional fills below are exact; the
-    //    stall model matches PerfSim::pass_stall_cycles).
+    // -- reload accounting: the functional fills below are exact, the
+    //    pass's cycles come from the cost model PerfSim also uses.
     st.act_buffer_fills += plan.act_loads_per_pass;
     st.wgt_buffer_fills += plan.wgt_loads_per_pass;
-    const double act_cycles =
-        std::ceil(plan.act_loads_per_pass * bits_per_value / fill);
-    const double wgt_cycles =
-        std::ceil(plan.wgt_loads_per_pass * bits_per_value / fill);
-    const double reload = std::max(act_cycles, wgt_cycles);
-    double stall = reload;
-    if (hw.shadow_buffers)
-      stall = std::max(0.0, reload - plan.stream_cycles);
-    else if (hw.progressive)
-      stall = std::ceil(
-          std::max(plan.act_loads_per_pass, plan.wgt_loads_per_pass) * 2.0 /
-          fill);
-    st.stall_cycles += static_cast<std::int64_t>(stall);
-    st.compute_cycles += plan.stream_cycles + (hw.pipeline_stage ? 1 : 0);
+    st.stall_cycles += pass.stall_cycles;
+    st.compute_cycles += pass.compute_cycles;
 
     // -- bit-exact computation of this pass's outputs.
     telemetry::ScopedTimer mac_timer(*mac_hist, "machine.mac_rows",
@@ -349,10 +338,11 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
             }
           }
         }
-        // Near-memory read-add-write of the partial sum (first slice
-        // writes, later slices accumulate).
+        // Later slices accumulate onto the first. The plan spills the
+        // partial sum to near memory (read-add-write) only when the fabric
+        // has it; otherwise it stays in the output converter.
         result.counters[oidx] += static_cast<std::int32_t>(total);
-        if (slices > 1 && p > 0) ++st.psum_ops;
+        if (p > 0 && plan.nm_psum_ops > 0) ++st.psum_ops;
       }
     }
   }
@@ -675,6 +665,7 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->shape = shape;
   const Compiler compiler(hw_);
   impl->plan = compiler.plan_layer(shape, compiler.natural_dataflow());
+  impl->pass = pass_cost(impl->plan, hw_);
   impl->cfg = layer_config(shape, layer_salt);
   impl->input = input;
   impl->bn_scale.assign(bn_scale.begin(), bn_scale.end());
@@ -770,10 +761,6 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
                        cfg.accum == nn::AccumMode::kApc;
   impl->accum_faults = fm != nullptr && fm->accum_active();
   impl->stuck_faults = fm != nullptr && fm->stuck_enabled();
-
-  impl->fill = hw_.buffer_fill_bits;
-  impl->bits_per_value =
-      hw_.progressive ? static_cast<double>(n) : hw_.sng_value_bits;
 
   impl->pass_hist = &metrics.histogram("machine.pass");
   impl->mac_hist = &metrics.histogram("machine.mac_rows");

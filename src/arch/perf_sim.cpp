@@ -13,47 +13,47 @@ HwConfig with_dvfs(HwConfig hw, const TechParams& tech) {
   hw.vdd = operating_vdd(hw, tech);
   return hw;
 }
+
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
+}
 }  // namespace
+
+PassCost pass_cost(const LayerPlan& plan, const HwConfig& hw) {
+  PassCost cost;
+  cost.compute_cycles = plan.stream_cycles + (hw.pipeline_stage ? 1 : 0);
+  // Bits that must enter the SNG buffers for one pass. Progressive
+  // generation only fetches the bits the (stream-length-matched) LFSR can
+  // resolve; normal generation always fetches the full stored value.
+  const std::int64_t bits_per_value =
+      hw.progressive ? plan.lfsr_bits : hw.sng_value_bits;
+  const std::int64_t fill = hw.buffer_fill_bits;
+  const std::int64_t reload =
+      std::max(ceil_div(plan.act_loads_per_pass * bits_per_value, fill),
+               ceil_div(plan.wgt_loads_per_pass * bits_per_value, fill));
+  if (hw.shadow_buffers) {
+    // Next-pass bits trickle into the shadow buffers during compute, so
+    // only reload that outlasts the compute phase stalls. Without
+    // progressive generation the shadow buffers hold full values, at 4x the
+    // buffer area (Sec. III-D); the stall is the same.
+    cost.stall_cycles =
+        std::max<std::int64_t>(0, reload - plan.stream_cycles);
+  } else if (hw.progressive) {
+    // No overlap with the previous pass, but generation starts after the
+    // first 2-bit group of every value has arrived.
+    cost.stall_cycles = ceil_div(
+        std::max(plan.act_loads_per_pass, plan.wgt_loads_per_pass) * 2, fill);
+  } else {
+    cost.stall_cycles = reload;  // fully serial reload
+  }
+  return cost;
+}
 
 PerfSim::PerfSim(const HwConfig& hw, const TechParams& tech)
     : hw_(with_dvfs(hw, tech)),
       tech_(tech),
       energy_(hw_, tech_),
       compiler_(hw_) {}
-
-double PerfSim::pass_stall_cycles(const LayerPlan& plan) const {
-  // Bits that must enter the SNG buffers for one pass. Progressive
-  // generation only fetches the bits the (stream-length-matched) LFSR can
-  // resolve; normal generation always fetches the full stored value.
-  const double bits_per_value =
-      hw_.progressive ? plan.lfsr_bits : hw_.sng_value_bits;
-  const double fill = hw_.buffer_fill_bits;
-  const double act_cycles =
-      std::ceil(plan.act_loads_per_pass * bits_per_value / fill);
-  const double wgt_cycles =
-      std::ceil(plan.wgt_loads_per_pass * bits_per_value / fill);
-  const double reload = std::max(act_cycles, wgt_cycles);
-
-  const double compute = plan.stream_cycles;
-  if (hw_.shadow_buffers && hw_.progressive) {
-    // Next-pass bits trickle into the shadow buffers during compute;
-    // generation restarts as soon as the first 2-bit group is there.
-    return std::max(0.0, reload - compute);
-  }
-  if (hw_.shadow_buffers) {
-    // Full-size shadow buffers hide the reload the same way, at 4x the
-    // buffer area (Sec. III-D).
-    return std::max(0.0, reload - compute);
-  }
-  if (hw_.progressive) {
-    // No overlap with the previous pass, but generation starts after the
-    // first 2-bit group of every value has arrived.
-    const double loads =
-        std::max(plan.act_loads_per_pass, plan.wgt_loads_per_pass);
-    return std::ceil(loads * 2.0 / fill);
-  }
-  return reload;  // fully serial reload
-}
 
 PerfResult PerfSim::simulate(const NetworkShape& net) const {
   return simulate(compiler_.compile(net));
@@ -83,11 +83,10 @@ PerfResult PerfSim::simulate(const std::vector<LayerPlan>& plans) const {
     LayerPerf lp;
     lp.name = plan.shape.name;
 
-    const double stall = pass_stall_cycles(plan);
+    const PassCost pass = pass_cost(plan, hw_);
     lp.compute_cycles =
-        static_cast<double>(plan.passes) *
-        (plan.stream_cycles + (hw_.pipeline_stage ? 1 : 0));
-    lp.stall_cycles = static_cast<double>(plan.passes) * stall;
+        static_cast<double>(plan.passes * pass.compute_cycles);
+    lp.stall_cycles = static_cast<double>(plan.passes * pass.stall_cycles);
     // Analytic counterpart of the machine's ECC retry accounting: SECDED
     // re-reads every detected-faulty SRAM word (2 cycles each), in
     // expectation p_word = 1 - (1 - rate)^bits per value read.

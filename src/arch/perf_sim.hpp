@@ -29,6 +29,16 @@ struct LayerPerf {
   double ext_seconds = 0;    // external-memory streaming time (overlapped)
 };
 
+// What one generation/compute pass of a layer costs (Sec. II-B / III-D).
+// The machine charges it on every pass it runs and PerfSim scales it by the
+// plan's pass count, so both ledgers come from this one model.
+struct PassCost {
+  std::int64_t compute_cycles = 0;  // stream cycles, +1 for the pipeline cut
+  std::int64_t stall_cycles = 0;    // reload not hidden by shadow buffering
+};
+
+PassCost pass_cost(const LayerPlan& plan, const HwConfig& hw);
+
 struct PerfResult {
   double cycles = 0;
   double seconds = 0;
@@ -60,9 +70,6 @@ class PerfSim {
   // Simulates one inference of the network (compiles it first).
   PerfResult simulate(const NetworkShape& net) const;
   PerfResult simulate(const std::vector<LayerPlan>& plans) const;
-
-  // Reload stall per pass, in cycles (exposed for ablation benches).
-  double pass_stall_cycles(const LayerPlan& plan) const;
 
   // Peak throughput rating: 2 ops/MAC at the shortest configured stream
   // length; all-OR designs (ACOUSTIC-style) pay the split-unipolar doubling

@@ -4,6 +4,7 @@
 // Sec. III-C argues from.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "arch/compiler.hpp"
@@ -142,7 +143,12 @@ TEST(CompilerProperty, MoreRowsNeverMoreComputeCycles) {
 }
 
 TEST(CompilerProperty, ProgramsAlwaysWellFormed) {
-  for (const auto& c : sweep_cases()) {
+  std::vector<ShapeCase> cases = sweep_cases();
+  // LP VGG-16 streams up to 2.4 MB of weights per layer, far past one
+  // 16-bit operand.
+  for (const auto& layer : NetworkShape::vgg16().layers)
+    cases.push_back({layer, HwConfig::lp()});
+  for (const auto& c : cases) {
     const Compiler compiler(c.hw);
     const LayerPlan plan =
         compiler.plan_layer(c.shape, compiler.natural_dataflow());
@@ -154,6 +160,23 @@ TEST(CompilerProperty, ProgramsAlwaysWellFormed) {
     ASSERT_EQ(decoded.size(), plan.program.size());
     for (std::size_t i = 0; i < decoded.size(); ++i)
       EXPECT_EQ(decoded[i], plan.program[i]) << c.shape.name << " inst " << i;
+    // A count too large for one operand is split over repeated
+    // instructions, so each op's operands sum to the plan's count.
+    std::map<Opcode, std::int64_t> sums;
+    for (const Instruction& inst : plan.program.instructions())
+      sums[inst.op] += inst.arg0;
+    const std::int64_t outputs_per_pass =
+        std::min<std::int64_t>(c.shape.cout, c.hw.rows) *
+        plan.windows_per_pass;
+    EXPECT_EQ(sums[Opcode::kLoadExt], plan.accesses.ext_bytes)
+        << c.shape.name;
+    EXPECT_EQ(sums[Opcode::kLoadWgt], plan.wgt_loads_per_pass)
+        << c.shape.name;
+    EXPECT_EQ(sums[Opcode::kLoadAct], plan.act_loads_per_pass)
+        << c.shape.name;
+    EXPECT_EQ(sums[Opcode::kNearMemAcc],
+              plan.nm_psum_ops > 0 ? outputs_per_pass : 0)
+        << c.shape.name;
   }
 }
 

@@ -80,20 +80,18 @@ TEST(PerfSim, StallsVanishWithProgressiveShadow) {
   HwConfig hw = HwConfig::ulp();
   hw.stream_len_pool = 128;
   hw.stream_len = 128;
-  const PerfSim sim(hw);
   const Compiler c(hw);
   const LayerPlan plan = c.plan_layer(kCnn.layers[1],
                                       Dataflow::kWeightStationary);
-  EXPECT_LT(sim.pass_stall_cycles(plan), plan.stream_cycles * 0.2);
+  EXPECT_LT(pass_cost(plan, hw).stall_cycles, plan.stream_cycles * 0.2);
 }
 
 TEST(PerfSim, SerialReloadStallsWithoutOptimizations) {
   HwConfig hw = HwConfig::base_ulp();
-  const PerfSim sim(hw);
   const Compiler c(hw);
   const LayerPlan plan =
       c.plan_layer(kCnn.layers[1], Dataflow::kOutputStationary);
-  EXPECT_GT(sim.pass_stall_cycles(plan), 0.0);
+  EXPECT_GT(pass_cost(plan, hw).stall_cycles, 0);
 }
 
 TEST(PerfSim, UlpPeakMatchesPaper) {

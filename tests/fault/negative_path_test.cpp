@@ -1,4 +1,4 @@
-// Negative-path coverage: malformed programs, shapes, and operand spans must
+// Negative-path coverage: malformed assembly, shapes, and operand spans must
 // come back as structured geo::Status errors (or typed exceptions on the
 // legacy APIs) — never crashes, never silently wrong results.
 #include <gtest/gtest.h>
@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "arch/isa.hpp"
 #include "arch/machine.hpp"
-#include "arch/program_validator.hpp"
 
 namespace geo {
 namespace {
@@ -16,8 +16,6 @@ namespace {
 using arch::ConvShape;
 using arch::GeoMachine;
 using arch::HwConfig;
-using arch::Opcode;
-using arch::Program;
 
 struct Operands {
   ConvShape shape = ConvShape::conv("neg", 4, 6, 5, 3, 1, false);
@@ -112,15 +110,6 @@ TEST(NegativePath, LegacyRunConvThrowsTheStatusMessage) {
               std::string::npos)
         << e.what();
   }
-}
-
-TEST(NegativePath, MalformedProgramsAreStructuredErrors) {
-  Program p;
-  p.push(Opcode::kGenExec, 128, 4);  // exec before config, no halt
-  const geo::Status s = arch::validate_program(p);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("genexec"), std::string::npos) << s.to_string();
 }
 
 TEST(NegativePath, MalformedAssemblyDoesNotCrash) {
