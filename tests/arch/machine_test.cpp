@@ -78,7 +78,8 @@ INSTANTIATE_TEST_SUITE_P(Accum, MachineEquivalence,
                          ::testing::Values(nn::AccumMode::kOr,
                                            nn::AccumMode::kPbw,
                                            nn::AccumMode::kPbhw,
-                                           nn::AccumMode::kFxp));
+                                           nn::AccumMode::kFxp,
+                                           nn::AccumMode::kApc));
 
 TEST(Machine, PassCountMatchesCompilerPlan) {
   const Fixture f(8, 8, 12, 3, 3);

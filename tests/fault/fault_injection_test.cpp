@@ -147,7 +147,8 @@ INSTANTIATE_TEST_SUITE_P(Accum, FaultEquivalence,
                          ::testing::Values(nn::AccumMode::kOr,
                                            nn::AccumMode::kPbw,
                                            nn::AccumMode::kPbhw,
-                                           nn::AccumMode::kFxp));
+                                           nn::AccumMode::kFxp,
+                                           nn::AccumMode::kApc));
 
 TEST(FaultInjection, StreamDamageGrowsWithRate) {
   const Fixture f;
