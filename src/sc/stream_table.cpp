@@ -161,10 +161,16 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
                                                 const SeedSpec& spec,
                                                 std::size_t length) {
   auto& metrics = telemetry::MetricsRegistry::instance();
+  // Looked up once: these fire for every generated stream, and a lookup by
+  // name takes the metrics registry's lock, which generators contend on.
+  static telemetry::Counter& hit_counter =
+      metrics.counter("machine.stream_table_hits");
+  static telemetry::Counter& fallback_counter =
+      metrics.counter("machine.stream_table_fallbacks");
   const auto key = canonical_key(kind, spec, length);
   if (!key.has_value()) {
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("machine.stream_table_fallbacks").add(1);
+    fallback_counter.add(1);
     return nullptr;
   }
 
@@ -227,7 +233,7 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
         return &entry->table;
       }
       fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      metrics.counter("machine.stream_table_fallbacks").add(1);
+      fallback_counter.add(1);
       return nullptr;
     }
     state = expected;
@@ -246,11 +252,11 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
   }
   if (state == 2) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("machine.stream_table_hits").add(1);
+    hit_counter.add(1);
     return &entry->table;
   }
   fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  metrics.counter("machine.stream_table_fallbacks").add(1);
+  fallback_counter.add(1);
   return nullptr;
 }
 
