@@ -12,9 +12,11 @@
 // batch-norm + bounded ReLU before writing activations back.
 //
 // Functional contract (tested): the pre-BN output counts equal what the
-// nn::ScConv2d reference computes for the same configuration, seed layout
-// and quantized operands — the hardware mapping (rows, windows, kernel
-// slices) must not change the arithmetic.
+// nn::ScConv2d / nn::ScLinear reference computes for the same
+// configuration, seed layout and quantized operands on every layer whose OR
+// groups fit in one kernel slice. Both run nn::ScAccumulator over
+// nn::tap_layout; rows and windows never change the arithmetic, and a
+// kernel slice only splits a group that spans it.
 #pragma once
 
 #include <cstdint>

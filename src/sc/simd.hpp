@@ -1,12 +1,13 @@
 // Portable SIMD layer for the packed-bitstream hot paths.
 //
-// Every SC execution consumer — the machine's MAC inner loop, sc::ops,
-// the parallel counters, and the correlation statistics — reduces to a
-// handful of word-parallel kernels over packed 64-bit stream words:
-// AND-popcount MAC reduction, OR/XOR/AND block ops, and fused
-// OR-accumulate-of-products. This header is the one dispatch point for
-// those kernels: an AVX2 backend (x86-64), a NEON backend (aarch64), and a
-// scalar fallback that is the reference implementation everywhere else.
+// Every SC execution consumer — the SC accumulation core the machine and
+// the nn reference share, sc::ops, the parallel counters, and the
+// correlation statistics — reduces to a handful of word-parallel kernels
+// over packed 64-bit stream words: AND-popcount MAC reduction, OR/XOR/AND
+// block ops, and fused OR-accumulate-of-products. This header is the one
+// dispatch point for those kernels: an AVX2 backend (x86-64), a NEON
+// backend (aarch64), and a scalar fallback that is the reference
+// implementation everywhere else.
 //
 // Bit-exactness contract: every backend returns *identical* results for
 // identical inputs — the kernels are pure integer bit arithmetic, so there
