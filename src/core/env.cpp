@@ -1,15 +1,12 @@
 #include "core/env.hpp"
 
 #include <charconv>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
-
-#include "telemetry/journal.hpp"
 
 namespace geo::core {
 
@@ -94,62 +91,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback, std::int64_t lo,
   if (*parsed < lo || *parsed > hi) {
     warn_once(name, v, "is out of range");
     return fallback;
-  }
-  return *parsed;
-}
-
-std::optional<std::int64_t> parse_size(std::string_view text,
-                                       std::int64_t unit) {
-  if (text.empty() || unit <= 0) return std::nullopt;
-  // Split off a trailing alphabetic suffix; the rest must be a whole
-  // non-negative integer.
-  std::size_t digits = 0;
-  while (digits < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[digits])))
-    ++digits;
-  if (digits == 0) return std::nullopt;
-  const std::optional<std::uint64_t> value =
-      parse_whole<std::uint64_t>(text.substr(0, digits));
-  if (!value.has_value()) return std::nullopt;
-  std::string suffix;
-  for (const char c : text.substr(digits))
-    suffix.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  std::int64_t mult = unit;
-  if (suffix == "b") {
-    mult = 1;
-  } else if (suffix == "k" || suffix == "kb" || suffix == "kib") {
-    mult = 1ll << 10;
-  } else if (suffix == "m" || suffix == "mb" || suffix == "mib") {
-    mult = 1ll << 20;
-  } else if (suffix == "g" || suffix == "gb" || suffix == "gib") {
-    mult = 1ll << 30;
-  } else if (!suffix.empty()) {
-    return std::nullopt;
-  }
-  if (*value != 0 &&
-      *value > static_cast<std::uint64_t>(INT64_MAX / mult))
-    return std::nullopt;  // overflow
-  return static_cast<std::int64_t>(*value) * mult;
-}
-
-std::int64_t env_size(const char* name, std::int64_t fallback_bytes,
-                      std::int64_t unit, std::int64_t lo, std::int64_t hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback_bytes;
-  const std::optional<std::int64_t> parsed = parse_size(v, unit);
-  const char* what = nullptr;
-  if (!parsed.has_value())
-    what = "is not a size (want <uint>[K|M|G[B]|KiB|MiB|GiB])";
-  else if (*parsed < lo || *parsed > hi)
-    what = "is out of range";
-  if (what != nullptr) {
-    warn_once(name, v, what);
-    // Mirror the GEO_RETRY precedent: a rejected knob must survive into
-    // postmortems, not just scroll past on stderr.
-    if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-      journal.record("config.invalid", name, {}, what);
-    return fallback_bytes;
   }
   return *parsed;
 }

@@ -12,7 +12,7 @@
 // Components pass a `domain` string so different consumers of the same
 // master seed stay decorrelated.
 //
-// Integer knobs (GEO_THREADS, GEO_RETRY, GEO_CRASH_AFTER_EPOCH, the
+// Integer knobs (GEO_THREADS, GEO_STREAM_TABLE, GEO_CRASH_AFTER_EPOCH, the
 // GEO_BENCH_* sizes) go through `env_int`: a strict whole-string parse where
 // malformed or out-of-range values are reported once per variable on stderr
 // and then ignored, mirroring the `global_seed` contract. Silent `atoi`
@@ -50,24 +50,5 @@ std::optional<std::int64_t> parse_int(std::string_view text);
 // deduplicated.
 std::int64_t env_int(const char* name, std::int64_t fallback,
                      std::int64_t lo = INT64_MIN, std::int64_t hi = INT64_MAX);
-
-// Strict whole-string byte-size parse: a non-negative integer with an
-// optional binary suffix (K/KB/KiB, M/MB/MiB, G/GB/GiB; case-insensitive,
-// 1024-based). A bare number is multiplied by `unit` (1 = bytes), so knobs
-// whose name bakes in a unit — GEO_STREAM_TABLE_MB, GEO_STORE_CACHE_MB —
-// keep their historical plain-number meaning while newly accepting explicit
-// suffixes. nullopt on any malformed input or multiply overflow.
-std::optional<std::int64_t> parse_size(std::string_view text,
-                                       std::int64_t unit = 1);
-
-// Checked byte-size environment knob built on parse_size. Returns
-// `fallback_bytes` when unset/empty. A malformed value, or one outside
-// [lo, hi] bytes, is reported once per variable on stderr *and* recorded as
-// a `config.invalid` journal entry (matching the GEO_RETRY precedent — a
-// sweep whose cache silently ran on defaults must show up in postmortems),
-// then treated as unset.
-std::int64_t env_size(const char* name, std::int64_t fallback_bytes,
-                      std::int64_t unit = 1, std::int64_t lo = 0,
-                      std::int64_t hi = INT64_MAX);
 
 }  // namespace geo::core

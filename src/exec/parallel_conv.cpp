@@ -26,42 +26,27 @@ ParallelConvRunner::ParallelConvRunner(ThreadPool* pool)
     : pool_(pool != nullptr ? pool : &ThreadPool::instance()) {}
 
 bool ParallelConvRunner::run_all(arch::ConvExecution& exec,
-                                 CancelToken* cancel) {
+                                 CancelToken* cancel,
+                                 std::vector<arch::MachineStats>* tile_costs) {
   const std::int64_t tiles = exec.tile_count();
   auto& tracer = telemetry::Tracer::instance();
   auto& tile_hist =
       telemetry::MetricsRegistry::instance().histogram("machine.tile");
   const std::uint64_t flow = open_tile_flow(tracer);
+  if (tile_costs != nullptr)
+    tile_costs->assign(static_cast<std::size_t>(tiles), arch::MachineStats{});
   // Tile grain 1: tiles are coarse units (a full channel-group x
   // window-group pass schedule each), so per-tile claiming balances best.
   pool_->parallel_for(
-      tiles, 1, [&exec, &tracer, &tile_hist, flow, cancel](std::int64_t t) {
-        if (cancel != nullptr && cancel->cancelled()) return;
-        telemetry::ScopedTimer span(tile_hist, "machine.tile", "machine",
-                                    {{"tile", static_cast<double>(t)}});
-        if (flow != 0) tracer.flow_in("machine.tiles", "machine", flow);
-        exec.run_tile(t);
-      });
-  return cancel == nullptr || !cancel->cancel_requested();
-}
-
-bool ParallelConvRunner::run_all_recording(
-    arch::ConvExecution& exec, std::vector<arch::MachineStats>& tile_costs,
-    CancelToken* cancel) {
-  const std::int64_t tiles = exec.tile_count();
-  auto& tracer = telemetry::Tracer::instance();
-  auto& tile_hist =
-      telemetry::MetricsRegistry::instance().histogram("machine.tile");
-  const std::uint64_t flow = open_tile_flow(tracer);
-  tile_costs.assign(static_cast<std::size_t>(tiles), arch::MachineStats{});
-  pool_->parallel_for(
       tiles, 1,
-      [&exec, &tile_costs, &tracer, &tile_hist, flow, cancel](std::int64_t t) {
+      [&exec, &tracer, &tile_hist, flow, cancel, tile_costs](std::int64_t t) {
         if (cancel != nullptr && cancel->cancelled()) return;
         telemetry::ScopedTimer span(tile_hist, "machine.tile", "machine",
                                     {{"tile", static_cast<double>(t)}});
         if (flow != 0) tracer.flow_in("machine.tiles", "machine", flow);
-        tile_costs[static_cast<std::size_t>(t)] = exec.run_tile(t);
+        const arch::MachineStats cost = exec.run_tile(t);
+        if (tile_costs != nullptr)
+          (*tile_costs)[static_cast<std::size_t>(t)] = cost;
       });
   return cancel == nullptr || !cancel->cancel_requested();
 }

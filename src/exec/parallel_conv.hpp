@@ -33,14 +33,12 @@ class ParallelConvRunner {
   // fires, the remaining tiles are skipped — no further tile charges a
   // cycle — and the call returns false. A cancelled execution is partial
   // and must be abandoned by the caller, never finished.
-  bool run_all(arch::ConvExecution& exec, CancelToken* cancel = nullptr);
-
-  // Same, but also records each tile's first-run cost delta (indexed by
-  // tile). The resilience layer uses the deltas to reconstruct the serial
-  // ledger on a rung that fails mid-walk.
-  bool run_all_recording(arch::ConvExecution& exec,
-                         std::vector<arch::MachineStats>& tile_costs,
-                         CancelToken* cancel = nullptr);
+  //
+  // `tile_costs` (may be nullptr) receives each tile's first-run cost delta,
+  // indexed by tile. The resilience layer uses the deltas to reconstruct
+  // the serial ledger on a rung that fails mid-walk.
+  bool run_all(arch::ConvExecution& exec, CancelToken* cancel = nullptr,
+               std::vector<arch::MachineStats>* tile_costs = nullptr);
 
  private:
   ThreadPool* pool_;

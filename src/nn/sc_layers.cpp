@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/env.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/quantize.hpp"
 #include "sc/progressive.hpp"
@@ -277,13 +278,6 @@ ScAccumulator::Sum ScAccumulator::accumulate(std::size_t oidx, int lo,
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 // For TRNGs, a fresh pass must see fresh randomness while preserving the
 // sharing structure (equal base seeds stay equal). Deterministic sources
 // ignore the pass counter.
@@ -291,7 +285,7 @@ sc::SeedSpec pass_spec(const ScLayerConfig& cfg, sc::SeedSpec spec,
                        std::uint64_t pass) {
   if (cfg.rng == sc::RngKind::kTrng)
     spec.seed = static_cast<std::uint32_t>(
-        mix64(spec.seed ^ (pass * 0xD1B54A32D192ED03ull)) | 1u);
+        core::mix64(spec.seed ^ (pass * 0xD1B54A32D192ED03ull)) | 1u);
   return spec;
 }
 

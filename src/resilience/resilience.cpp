@@ -66,18 +66,10 @@ geo::StatusOr<RetryPolicy> RetryPolicy::parse(std::string_view spec) {
             "GEO_RETRY: backoff='" + std::string(val) +
             "' must be a cycle count in [0,2^32]");
       policy.backoff = static_cast<std::int64_t>(c);
-    } else if (key == "guards") {
-      if (val == "1")
-        policy.guards = true;
-      else if (val == "0")
-        policy.guards = false;
-      else
-        return geo::Status::invalid_argument(
-            "GEO_RETRY: guards='" + std::string(val) + "' (want 0|1)");
     } else {
       return geo::Status::invalid_argument(
           "GEO_RETRY: unknown key '" + std::string(key) +
-          "' (known: retries, backoff, guards)");
+          "' (known: retries, backoff)");
     }
   }
   return policy;
@@ -103,8 +95,7 @@ RetryPolicy RetryPolicy::from_env() {
 
 std::string RetryPolicy::to_string() const {
   return "retries=" + std::to_string(retries) +
-         ",backoff=" + std::to_string(backoff) +
-         ",guards=" + std::string(guards ? "1" : "0");
+         ",backoff=" + std::to_string(backoff);
 }
 
 // ---- enums ----------------------------------------------------------------
@@ -294,15 +285,12 @@ TileSignals ecc_delta_signals(fault::FaultModel* fm,
   return sig;
 }
 
-// The partial-sum range and CRC-readback guards over the tile's outputs
-// (no-op when the policy disables guards). The CRC probe is a real guard
-// read: it charges ECC retry cycles and counts events exactly like the
-// hardware readback would.
+// The partial-sum range and CRC-readback guards over the tile's outputs.
+// The CRC probe is a real guard read: it charges ECC retry cycles and counts
+// events exactly like the hardware readback would.
 TileSignals guard_signals(const arch::ConvExecution& exec, std::int64_t tile,
-                          const arch::ConvShape& shape,
-                          const RetryPolicy& policy) {
+                          const arch::ConvShape& shape) {
   TileSignals sig;
-  if (!policy.guards) return sig;
   fault::FaultModel* fm = fault::active();
 
   const std::span<const std::int32_t> counters = exec.counters();
@@ -332,10 +320,9 @@ TileSignals guard_signals(const arch::ConvExecution& exec, std::int64_t tile,
 // then the guards.
 TileSignals check_tile(const arch::ConvExecution& exec, std::int64_t tile,
                        const arch::ConvShape& shape,
-                       const fault::FaultStats& before,
-                       const RetryPolicy& policy) {
+                       const fault::FaultStats& before) {
   TileSignals sig = ecc_delta_signals(fault::active(), before);
-  sig.merge(guard_signals(exec, tile, shape, policy));
+  sig.merge(guard_signals(exec, tile, shape));
   return sig;
 }
 
@@ -387,9 +374,7 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
   std::vector<arch::MachineStats> first_costs;
   std::vector<std::int64_t> emulated_ecc;
   if (parallel) {
-    first_costs.resize(static_cast<std::size_t>(tiles));
-    if (!exec::ParallelConvRunner().run_all_recording(exec, first_costs,
-                                                      cancel))
+    if (!exec::ParallelConvRunner().run_all(exec, cancel, &first_costs))
       return cancelled_status(outcome.layer, "parallel-tile-boundary");
     // Reconstruct the attempt-0 ECC signals the serial loop would have
     // seen: in tile order, the first tile touching an activation slot owns
@@ -439,13 +424,13 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
             emulated_ecc[static_cast<std::size_t>(tile)];
         for (std::int64_t i = 0; i < ecc_hits; ++i)
           sig.add(ecc_detect_kind(*fm));
-        sig.merge(guard_signals(exec, tile, shape, policy));
+        sig.merge(guard_signals(exec, tile, shape));
       } else {
         const fault::FaultStats before =
             fm != nullptr ? fm->stats() : fault::FaultStats{};
         const arch::MachineStats run_cost = exec.run_tile(tile);
         serial_cycles += run_cost.compute_cycles + run_cost.stall_cycles;
-        sig = check_tile(exec, tile, shape, before, policy);
+        sig = check_tile(exec, tile, shape, before);
       }
       for (int d = 0; d < kDetectKinds; ++d)
         outcome.detections[static_cast<std::size_t>(d)] +=

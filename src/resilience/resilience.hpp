@@ -45,12 +45,11 @@ namespace geo::resilience {
 struct RetryPolicy {
   int retries = 2;            // re-executions per tile after the first run
   std::int64_t backoff = 32;  // stall cycles charged before the first retry
-  bool guards = true;         // psum range + CRC readback guards
 
   // Stall cycles charged before retry `attempt` (0-based): backoff << attempt.
   std::int64_t backoff_for(int attempt) const noexcept;
 
-  // Parses "retries=N,backoff=C,guards=0|1" (any subset, comma-separated).
+  // Parses "retries=N,backoff=C" (either or both, comma-separated).
   // Unknown keys / malformed values are rejected with a diagnostic.
   static geo::StatusOr<RetryPolicy> parse(std::string_view spec);
 
@@ -135,9 +134,9 @@ struct ResilienceReport {
 // Per-run controls layered on the policy (the serving runtime's knobs).
 struct RunOptions {
   // First ladder rung to attempt. kNative is the normal path; the serving
-  // layer steers overload traffic straight to a degraded rung (pbw/fxp/
-  // reference) instead of shedding it (docs/SERVING.md). Rungs more capable
-  // than `start` are skipped; a non-native start marks the outcome degraded.
+  // layer steers overload traffic straight to the reference rung instead
+  // of shedding it (docs/SERVING.md). Rungs more capable than `start` are
+  // skipped; a non-native start marks the outcome degraded.
   Rung start = Rung::kNative;
   // Cooperative cancellation, polled at every tile boundary (serial loop
   // and parallel Phase A alike) and before each rung. A fired token makes

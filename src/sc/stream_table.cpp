@@ -17,6 +17,8 @@ namespace {
 // A single table may not exceed this even when the total budget would allow
 // it (one giant sequence must not evict-by-starvation everything else).
 constexpr std::uint64_t kMaxTableBytes = 8ull << 20;
+// Total registry byte budget; builds past it fall back to the tick path.
+constexpr std::uint64_t kBudgetBytes = 256ull << 20;
 
 // Bounded spin before parking on the entry's atomic: long enough to cover a
 // small table build in flight, short enough that an oversubscribed waiter
@@ -112,10 +114,7 @@ struct StreamTableRegistry::Entry {
   StreamTable table;
 };
 
-StreamTableRegistry::StreamTableRegistry()
-    : budget_bytes_(static_cast<std::uint64_t>(
-          core::env_size("GEO_STREAM_TABLE_MB", 256ll << 20,
-                         /*unit=*/1ll << 20, 0, 1ll << 40))) {}
+StreamTableRegistry::StreamTableRegistry() = default;
 
 StreamTableRegistry& StreamTableRegistry::instance() {
   static StreamTableRegistry registry;
@@ -200,7 +199,7 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
       std::int64_t build_ns = 0;
       if (need <= kMaxTableBytes) {
         if (bytes_.fetch_add(need, std::memory_order_relaxed) + need <=
-            budget_bytes_) {
+            kBudgetBytes) {
           try {
             const auto t0 = std::chrono::steady_clock::now();
             entry->table = StreamTable::build(kind, spec, length);

@@ -22,10 +22,9 @@
 // Non-deterministic sources (TRNG) and tables over the byte budget fall back
 // to the reusable tick path, which is bit-identical by construction.
 //
-// Knobs (see docs/STREAM_GENERATION.md / docs/OBSERVABILITY.md):
-//   GEO_STREAM_TABLE     0|1  table-driven generation on/off (default 1)
-//   GEO_STREAM_TABLE_MB  total registry byte budget in MiB (default 256;
-//                        explicit K/M/G[iB] suffixes accepted, see env_size)
+// Knob (see docs/STREAM_GENERATION.md / docs/OBSERVABILITY.md):
+//   GEO_STREAM_TABLE  0|1  table-driven generation on/off (default 1)
+// The registry's byte budget is fixed at 256 MiB, 8 MiB per table.
 // Telemetry: machine.stream_table_hits / _misses / _build_ns / _fallbacks.
 #pragma once
 
@@ -136,7 +135,6 @@ class StreamTableRegistry {
   std::unordered_map<StreamTableKey, std::unique_ptr<Entry>,
                      StreamTableKeyHash>
       map_;
-  std::uint64_t budget_bytes_;
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -71,8 +71,7 @@ class PipelineRouter {
  public:
   // `stages` stage servers, each running `options` (so the total replica
   // count is stages * options.replicas). Batching knobs apply per stage.
-  PipelineRouter(const arch::HwConfig& hw, int stages,
-                 ServeOptions options = ServeOptions::from_env());
+  PipelineRouter(const arch::HwConfig& hw, int stages, ServeOptions options);
   ~PipelineRouter();
 
   PipelineRouter(const PipelineRouter&) = delete;

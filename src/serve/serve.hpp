@@ -20,9 +20,12 @@
 //                quarantines persistently-faulted replicas and re-admits
 //                them through half-open probes
 //   degradation  past the queue's high-water mark, admitted requests are
-//                steered to a degraded rung (resilience::RunOptions::start)
+//                steered to the reference rung (resilience::RunOptions::start)
 //                instead of shed — reduced fidelity before reduced
 //                availability
+//   prewarm      each admitted request's weight-store pin and stream-table
+//                rows are warmed on exec::AsyncLane::io off the critical
+//                section, so the first dispatch of a burst hits warm caches
 //
 // The serving contract: every admitted request gets a terminal Response
 // (ok, degraded-ok, or deadline-exceeded) — never a silent drop, and under
@@ -59,38 +62,26 @@ class WeightStore;
 
 namespace geo::serve {
 
-// Serving knobs, overridable via GEO_SERVE_* (see from_env()).
+// Serving knobs, set by the caller (docs/SERVING.md).
 struct ServeOptions {
-  int replicas = 2;        // GEO_SERVE_REPLICAS: GeoMachine pool size
-  int queue_capacity = 32; // GEO_SERVE_QUEUE: bounded request queue
-  int tenant_quota = 16;   // GEO_SERVE_QUOTA: in-flight requests per tenant
-  // GEO_SERVE_HIGH_WATER: queue depth at which admitted requests steer to
-  // the degraded rung. 0 = auto (3/4 of queue_capacity); >= queue_capacity
-  // disables steering.
+  int replicas = 2;        // GeoMachine pool size
+  int queue_capacity = 32; // bounded request queue
+  int tenant_quota = 16;   // in-flight requests per tenant
+  // Queue depth at which admitted requests steer to the reference rung.
+  // 0 = auto (3/4 of queue_capacity); >= queue_capacity disables steering.
   int high_water = 0;
-  // GEO_SERVE_DEADLINE_US: default per-request deadline, 0 = none.
-  std::int64_t default_deadline_us = 0;
-  int retries = 1;  // GEO_SERVE_RETRIES: cross-replica failovers per request
-  // GEO_SERVE_BACKOFF_US: wait before failover attempt k is eligible to be
-  // re-dispatched (doubles per attempt).
+  int retries = 1;  // cross-replica failovers per request
+  // Wait before failover attempt k is eligible to be re-dispatched (doubles
+  // per attempt).
   std::int64_t retry_backoff_us = 200;
-  int breaker_strikes = 3;  // GEO_SERVE_STRIKES: dirty outcomes to quarantine
-  int probe_after = 8;      // GEO_SERVE_PROBE_AFTER: completions elsewhere
-                            // before a quarantined replica may probe
-  // GEO_SERVE_STEER (pbw|fxp|reference): the rung overload traffic starts
-  // on. kReference is the cheapest (pure software) and the default.
-  resilience::Rung steer_rung = resilience::Rung::kReference;
-  // GEO_SERVE_BATCH: max same-model requests coalesced into one dispatch
-  // (one conv preparation per rung via resilience::run_conv_batch). 1
-  // disables coalescing — every dispatch is a batch of one.
+  int breaker_strikes = 3;  // dirty outcomes to quarantine
+  int probe_after = 8;      // completions elsewhere before a quarantined
+                            // replica may probe
+  // Max same-model requests coalesced into one dispatch (one conv
+  // preparation per rung via resilience::run_conv_batch). 1 disables
+  // coalescing — every dispatch is a batch of one.
   int batch = 1;
-  // GEO_SERVE_PREWARM (0|1): pre-warm the weight-store pin and stream-table
-  // rows for an admitted request's model off the critical section
-  // (exec::AsyncLane::io), so the first dispatch of a burst hits warm
-  // caches.
-  bool prewarm = true;
 
-  static ServeOptions from_env();
   geo::Status validate() const;
   std::string to_string() const;
 
@@ -113,9 +104,9 @@ struct Request {
   // "zero failed requests" invariant survives disk corruption too. The
   // load's modeled io stall is charged into the execution's memory bucket.
   std::string store_layer;
-  // Per-request deadline: -1 = use ServeOptions::default_deadline_us,
-  // 0 = none, > 0 = microseconds from submit.
-  std::int64_t deadline_us = -1;
+  // Per-request deadline: 0 = none, > 0 = microseconds from submit;
+  // negative is refused at admission.
+  std::int64_t deadline_us = 0;
   std::string label;  // journal/metrics label; defaults to tenant
   // Test hook: > 0 arms the request's CancelToken to trip after N
   // cancellation polls (exec::CancelToken::trip_after), making mid-batch
@@ -168,8 +159,7 @@ struct ServeStats {
 // any thread may submit.
 class InferenceServer {
  public:
-  explicit InferenceServer(const arch::HwConfig& hw,
-                           ServeOptions options = ServeOptions::from_env());
+  InferenceServer(const arch::HwConfig& hw, ServeOptions options);
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;

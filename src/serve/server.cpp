@@ -130,6 +130,8 @@ geo::StatusOr<std::future<Response>> InferenceServer::submit(Request req) {
     journal_event("serve.reject", req.tenant, {}, s.message());
     return s;
   };
+  if (req.deadline_us < 0)
+    return reject(geo::Status::invalid_argument("serve: deadline_us < 0"));
   std::vector<float> weight_stub;
   std::span<const float> validate_weights = req.weights;
   if (!req.store_layer.empty()) {
@@ -168,12 +170,9 @@ geo::StatusOr<std::future<Response>> InferenceServer::submit(Request req) {
   p->req = std::move(req);
   p->submitted = Clock::now();
   p->not_before = p->submitted;
-  const std::int64_t deadline_us = p->req.deadline_us < 0
-                                       ? options_.default_deadline_us
-                                       : p->req.deadline_us;
-  if (deadline_us > 0)
+  if (p->req.deadline_us > 0)
     p->cancel.set_deadline(p->submitted +
-                           std::chrono::microseconds(deadline_us));
+                           std::chrono::microseconds(p->req.deadline_us));
   if (p->req.trip_after_polls > 0)
     p->cancel.trip_after(p->req.trip_after_polls);
   std::future<Response> future = p->promise.get_future();
@@ -202,22 +201,22 @@ geo::StatusOr<std::future<Response>> InferenceServer::submit(Request req) {
                                              std::to_string(load) + ")");
     }
     ++load;
-    // Graceful degradation: past the high-water mark, admit but steer to a
-    // degraded rung instead of queueing full-fidelity work we cannot drain.
+    // Graceful degradation: past the high-water mark, admit but steer to the
+    // reference rung instead of queueing full-fidelity work we cannot drain.
     p->steered = static_cast<int>(queue_.size()) >= high_water_;
     if (p->steered) {
       steered_.fetch_add(1, std::memory_order_relaxed);
       telemetry::MetricsRegistry::instance().counter("serve.steered").add();
       journal_event("serve.steer", p->req.tenant,
                     {{"depth", static_cast<double>(queue_.size())}},
-                    resilience::to_string(options_.steer_rung));
+                    resilience::to_string(resilience::Rung::kReference));
     }
     admitted_.fetch_add(1, std::memory_order_relaxed);
     telemetry::MetricsRegistry::instance().counter("serve.admitted").add();
     // Warm the model's caches off the replica's critical section: by the
     // time a worker claims this request, the weight-store pin and
     // stream-table rows are (best-effort) already resident.
-    if (options_.prewarm) schedule_prewarm(p->req);
+    schedule_prewarm(p->req);
     queue_.push_back(std::move(p));
     telemetry::MetricsRegistry::instance()
         .gauge("serve.queue_depth")
@@ -387,8 +386,8 @@ void InferenceServer::dispatch(int replica,
 
   resilience::ResilientExecutor executor(hw_, retry_policy_);
   const Pending& leader = *live.front();
-  const resilience::Rung start =
-      leader.steered ? options_.steer_rung : resilience::Rung::kNative;
+  const resilience::Rung start = leader.steered ? resilience::Rung::kReference
+                                                : resilience::Rung::kNative;
 
   // Store-backed weights: one pin for the whole dispatch, here on the
   // worker and inside the fault scope — the repair ladder (reread/rebuild/

@@ -34,7 +34,7 @@ inline constexpr std::uint32_t kBlockFileVersion = 1;
 
 // Atomically writes `data` to `path` as a GEOSTOR file with blocks of
 // `block_bytes` (any positive multiple of 4; callers size it via
-// GEO_STORE_BLOCK_KB).
+// StoreOptions::block_bytes).
 // The image lands in a temp file, is fsync'd, renamed over the target, and
 // the parent directory is fsync'd — the commit is durable before this
 // returns OK. An injected torn write (GEO_FAULTS io_short_write, keyed by

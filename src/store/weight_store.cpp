@@ -83,22 +83,6 @@ void journal_event(const char* kind, const std::string& label,
 
 // ---- StoreOptions ---------------------------------------------------------
 
-StoreOptions StoreOptions::from_env(std::string dir) {
-  StoreOptions o;
-  o.dir = std::move(dir);
-  o.cache_bytes =
-      core::env_size("GEO_STORE_CACHE_MB", o.cache_bytes, 1ll << 20, 0);
-  o.block_bytes = core::env_size("GEO_STORE_BLOCK_KB", o.block_bytes,
-                                 1ll << 10, 4, 1ll << 30);
-  o.shard_bytes = core::env_size("GEO_STORE_SHARD_MB", o.shard_bytes,
-                                 1ll << 20, 4, 1ll << 40);
-  o.rereads = static_cast<int>(core::env_int("GEO_STORE_REREADS", o.rereads,
-                                             0, 16));
-  o.reread_backoff =
-      core::env_int("GEO_STORE_BACKOFF", o.reread_backoff, 0, 1ll << 32);
-  return o;
-}
-
 geo::Status StoreOptions::validate() const {
   if (dir.empty())
     return geo::Status::invalid_argument("store: options.dir is empty");

@@ -23,13 +23,12 @@
 // every fault model. A background scrubber walks all blocks through the
 // same ladder. Everything is surfaced as store.* metrics and journal kinds.
 //
-// Knobs (all validated fail-closed, see StoreOptions::from_env):
-//   GEO_STORE_CACHE_MB   assembled-layer LRU cache budget (env_size; plain
-//                        numbers mean MiB, suffixes accepted)   default 64
-//   GEO_STORE_BLOCK_KB   nominal block size (env_size, KiB)     default 64
-//   GEO_STORE_SHARD_MB   max shard file payload (env_size, MiB) default 4
-//   GEO_STORE_REREADS    reread budget per block, [0,16]        default 3
-//   GEO_STORE_BACKOFF    stall cycles before reread k: backoff << k
+// Options (StoreOptions, set by the caller and validated fail-closed):
+//   cache_bytes     assembled-layer LRU cache budget          default 64 MiB
+//   block_bytes     nominal block size                        default 64 KiB
+//   shard_bytes     max shard file payload                    default 4 MiB
+//   rereads         reread budget per block, [0,16]           default 3
+//   reread_backoff  stall cycles before reread k: backoff << k
 #pragma once
 
 #include <cstdint>
@@ -59,10 +58,6 @@ struct StoreOptions {
   std::int64_t shard_bytes = 4ll << 20;
   int rereads = 3;
   std::int64_t reread_backoff = 64;  // stall cycles, doubles per attempt
-
-  // Reads the GEO_STORE_* knobs (malformed values warn once, journal
-  // config.invalid, and fall back — never abort).
-  static StoreOptions from_env(std::string dir);
 
   // Fail-closed structural validation (empty dir, non-multiple-of-4 blocks,
   // shards smaller than a block, ...). A store built from an invalid

@@ -16,9 +16,6 @@ namespace geo::telemetry {
 
 namespace {
 
-constexpr std::size_t kDefaultCapacity = 4096;
-constexpr std::size_t kMaxCapacity = std::size_t{1} << 22;
-
 std::uint32_t journal_tid() {
   static std::atomic<std::uint32_t> next{1};
   thread_local const std::uint32_t id =
@@ -40,17 +37,6 @@ std::string args_to_json(std::initializer_list<JournalArg> args) {
   Json obj = Json::object();
   for (const JournalArg& a : args) obj.set(a.key, Json(a.value));
   return obj.dump(0);
-}
-
-std::size_t env_capacity() {
-  const char* raw = std::getenv("GEO_JOURNAL_CAP");
-  if (raw == nullptr || raw[0] == '\0') return kDefaultCapacity;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < 16 ||
-      v > static_cast<long long>(kMaxCapacity))
-    return kDefaultCapacity;
-  return static_cast<std::size_t>(v);
 }
 
 // ---- fatal-signal flush ----------------------------------------------------
@@ -111,7 +97,7 @@ Journal& Journal::instance() {
   return journal;
 }
 
-Journal::Journal() : capacity_(env_capacity()) {
+Journal::Journal() {
   if (const char* path = std::getenv("GEO_JOURNAL");
       path != nullptr && path[0] != '\0')
     enable(path);

@@ -4,8 +4,8 @@
 //
 // OFF unless `GEO_JOURNAL=<path>` is set (or a test calls `enable`); the
 // disabled path is one relaxed atomic load, so hooks stay in the runtime
-// unconditionally. The ring holds the most recent `GEO_JOURNAL_CAP`
-// entries (default 4096); older entries are counted as dropped rather
+// unconditionally. The ring holds the most recent 4096 entries (or the
+// capacity passed to `enable`); older entries are counted as dropped rather
 // than growing without bound, so the journal is safe to leave on under
 // long sweeps. Each flushed line is one self-contained JSON object:
 //
@@ -50,7 +50,8 @@ class Journal {
   }
 
   // Starts recording to `path`; `capacity` of 0 keeps the current ring
-  // size (GEO_JOURNAL_CAP or the default). Retained entries are kept.
+  // size (4096 unless an earlier enable changed it). Retained entries are
+  // kept.
   void enable(std::string path, std::size_t capacity = 0);
   // Stops recording and drops buffered entries.
   void disable();
@@ -83,12 +84,12 @@ class Journal {
   ~Journal();
 
  private:
-  Journal();  // reads GEO_JOURNAL / GEO_JOURNAL_CAP
+  Journal();  // reads GEO_JOURNAL
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::string path_;
-  std::size_t capacity_ = 0;
+  std::size_t capacity_ = 4096;
   // Fixed-size circular buffer: entry seq lives at ring_[seq % capacity_]
   // (ring_ is resized to capacity_ on first record). The retained entries
   // are the contiguous seq range [next_seq_ - count_, next_seq_); count_

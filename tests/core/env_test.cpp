@@ -85,43 +85,6 @@ TEST(EnvInt, FallsBackOnUnsetMalformedAndOutOfRange) {
   ::unsetenv("GEO_TEST_KNOB");
 }
 
-TEST(ParseSize, StrictWholeStringWithBinarySuffixes) {
-  EXPECT_EQ(parse_size("0"), 0);
-  EXPECT_EQ(parse_size("123"), 123);           // bare number, unit 1 = bytes
-  EXPECT_EQ(parse_size("123", 1 << 20), 123ll << 20);  // knob-baked unit
-  EXPECT_EQ(parse_size("64K"), 64ll << 10);
-  EXPECT_EQ(parse_size("64kb"), 64ll << 10);   // case-insensitive
-  EXPECT_EQ(parse_size("64KiB"), 64ll << 10);
-  EXPECT_EQ(parse_size("3M"), 3ll << 20);
-  EXPECT_EQ(parse_size("3MiB"), 3ll << 20);
-  EXPECT_EQ(parse_size("2G"), 2ll << 30);
-  EXPECT_EQ(parse_size("2gib"), 2ll << 30);
-  EXPECT_EQ(parse_size("5B"), 5);              // explicit bytes beat the unit
-  EXPECT_EQ(parse_size("5B", 1 << 20), 5);
-
-  EXPECT_FALSE(parse_size("").has_value());
-  EXPECT_FALSE(parse_size("K").has_value());       // no digits
-  EXPECT_FALSE(parse_size("-1").has_value());      // sizes are unsigned
-  EXPECT_FALSE(parse_size("12 K").has_value());    // interior junk
-  EXPECT_FALSE(parse_size("12KB3").has_value());   // trailing junk
-  EXPECT_FALSE(parse_size("12T").has_value());     // unsupported suffix
-  EXPECT_FALSE(parse_size("99999999999G").has_value());  // overflow
-}
-
-TEST(EnvSize, FallsBackOnMalformedAndRespectsSuffixes) {
-  ::unsetenv("GEO_TEST_SIZE");
-  EXPECT_EQ(env_size("GEO_TEST_SIZE", 42), 42);
-  ::setenv("GEO_TEST_SIZE", "8", 1);
-  EXPECT_EQ(env_size("GEO_TEST_SIZE", 42, 1 << 20), 8ll << 20);
-  ::setenv("GEO_TEST_SIZE", "16KiB", 1);
-  EXPECT_EQ(env_size("GEO_TEST_SIZE", 42, 1 << 20), 16ll << 10);
-  ::setenv("GEO_TEST_SIZE", "garbage", 1);
-  EXPECT_EQ(env_size("GEO_TEST_SIZE", 42), 42);
-  ::setenv("GEO_TEST_SIZE", "8", 1);
-  EXPECT_EQ(env_size("GEO_TEST_SIZE", 42, 1, 16, 1024), 42);  // below lo
-  ::unsetenv("GEO_TEST_SIZE");
-}
-
 TEST(EnvInt, ReReadsTheEnvironmentEachCall) {
   ::setenv("GEO_TEST_KNOB2", "1", 1);
   EXPECT_EQ(env_int("GEO_TEST_KNOB2", 0), 1);

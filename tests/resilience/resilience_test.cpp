@@ -61,13 +61,12 @@ TEST(RetryPolicy, ParseDefaultsAndValues) {
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->retries, 2);
   EXPECT_EQ(d->backoff, 32);
-  EXPECT_TRUE(d->guards);
 
-  auto p = RetryPolicy::parse("retries=5,backoff=8,guards=0");
+  auto p = RetryPolicy::parse("retries=5,backoff=8");
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->retries, 5);
   EXPECT_EQ(p->backoff, 8);
-  EXPECT_FALSE(p->guards);
+  EXPECT_EQ(p->to_string(), "retries=5,backoff=8");
 
   auto partial = RetryPolicy::parse("retries=0");
   ASSERT_TRUE(partial.ok());
@@ -79,7 +78,7 @@ TEST(RetryPolicy, ParseRejectsMalformedSpecs) {
   EXPECT_FALSE(RetryPolicy::parse("retries=-1").ok());
   EXPECT_FALSE(RetryPolicy::parse("retries=99").ok());
   EXPECT_FALSE(RetryPolicy::parse("backoff=-4").ok());
-  EXPECT_FALSE(RetryPolicy::parse("guards=2").ok());
+  EXPECT_FALSE(RetryPolicy::parse("guards=0").ok());  // guards always run
   EXPECT_FALSE(RetryPolicy::parse("bogus=1").ok());
   EXPECT_FALSE(RetryPolicy::parse("retries").ok());
   EXPECT_FALSE(RetryPolicy::parse("retries=two").ok());

@@ -12,8 +12,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <random>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#include "telemetry/journal.hpp"
 
 namespace geo::sc::simd {
 namespace {
@@ -150,6 +156,31 @@ TEST(SimdBackend, UnsupportedRequestFallsBackToScalar) {
 #endif
   ScopedSimdBackend scope(impossible);
   EXPECT_EQ(active(), Backend::kScalar);
+}
+
+// GEO_SIMD is fail-closed: a value that names no backend runs scalar and
+// leaves a config.invalid journal entry. The variable is resolved once per
+// process, so this runs as its own ctest entry under GEO_SIMD=bogus
+// (SimdBackend.BogusEnvRunsScalar in tests/CMakeLists.txt) and skips in
+// every other run.
+TEST(SimdBackend, MalformedEnvFallsBackToScalar) {
+  const char* env = std::getenv("GEO_SIMD");
+  if (env == nullptr || std::string_view(env) != "bogus")
+    GTEST_SKIP() << "needs GEO_SIMD=bogus in a fresh process";
+  auto& journal = telemetry::Journal::instance();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "geo_simd_env.jsonl").string();
+  journal.disable();
+  journal.enable(path, 64);
+
+  EXPECT_EQ(active(), Backend::kScalar);
+  bool found = false;
+  for (const auto& e : journal.snapshot())
+    found |= e.kind == "config.invalid" && e.label == "GEO_SIMD";
+  EXPECT_TRUE(found);
+
+  journal.disable();
+  std::filesystem::remove(path);
 }
 
 }  // namespace

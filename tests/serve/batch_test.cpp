@@ -1,11 +1,10 @@
-// Batched serving: knob parsing, byte-identity of batched dispatch against
+// Batched serving: option validation, byte-identity of batched dispatch against
 // solo per-request execution (across thread counts and fault modes, at both
 // the resilience and the serving layer), mid-batch deadline isolation, and
 // batch bookkeeping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <random>
 #include <string>
@@ -77,44 +76,11 @@ struct BatchFixture {
   }
 };
 
-// Env round-trip helper so the knob test restores whatever the CI leg set.
-struct ScopedEnv {
-  std::string name;
-  std::string saved;
-  bool had = false;
-
-  ScopedEnv(const char* n, const char* value) : name(n) {
-    if (const char* old = std::getenv(n)) {
-      had = true;
-      saved = old;
-    }
-    ::setenv(n, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had)
-      ::setenv(name.c_str(), saved.c_str(), 1);
-    else
-      ::unsetenv(name.c_str());
-  }
-};
-
 TEST(ServeOptionsBatch, KnobsParseAndFailClosed) {
-  {
-    ScopedEnv b("GEO_SERVE_BATCH", "8");
-    ScopedEnv p("GEO_SERVE_PREWARM", "0");
-    const ServeOptions o = ServeOptions::from_env();
-    EXPECT_EQ(o.batch, 8);
-    EXPECT_FALSE(o.prewarm);
-    EXPECT_NE(o.to_string().find("batch=8"), std::string::npos);
-  }
-  {
-    // Fail-closed: malformed / out-of-range values fall back to defaults.
-    ScopedEnv b("GEO_SERVE_BATCH", "bogus");
-    ScopedEnv p("GEO_SERVE_PREWARM", "2");
-    const ServeOptions o = ServeOptions::from_env();
-    EXPECT_EQ(o.batch, 1);
-    EXPECT_TRUE(o.prewarm);
-  }
+  ServeOptions o;
+  o.batch = 8;
+  EXPECT_TRUE(o.validate().ok());
+  EXPECT_NE(o.to_string().find("batch=8"), std::string::npos);
   ServeOptions bad;
   bad.batch = 0;
   EXPECT_FALSE(bad.validate().ok());

@@ -74,7 +74,7 @@ void shield_all_replicas(InferenceServer& server) {
 }
 
 ServeOptions base_options() {
-  ServeOptions o;  // defaults, independent of ambient GEO_SERVE_*
+  ServeOptions o;
   o.retry_backoff_us = 0;
   return o;
 }
@@ -93,9 +93,6 @@ TEST(ServeOptions, ValidateAndHighWaterResolution) {
 
   ServeOptions bad;
   bad.replicas = 0;
-  EXPECT_FALSE(bad.validate().ok());
-  bad = ServeOptions{};
-  bad.steer_rung = resilience::Rung::kNative;
   EXPECT_FALSE(bad.validate().ok());
 }
 
@@ -249,7 +246,6 @@ TEST(InferenceServer, SteeredResultMatchesReferenceRung) {
   ServeOptions o = base_options();
   o.replicas = 1;
   o.high_water = 1;
-  o.steer_rung = resilience::Rung::kReference;
   InferenceServer server(hw, o);
   shield_all_replicas(server);
   server.pause();
@@ -271,12 +267,16 @@ TEST(InferenceServer, RejectsMalformedRequestAtTheDoor) {
   InferenceServer server(small_hw(), base_options());
   Request bad = f.request();
   bad.weights = bad.weights.subspan(0, 3);  // wrong operand size
+  Request late = f.request();
+  late.deadline_us = -5;  // 0 = none, > 0 = budget; negative is malformed
 
-  auto r = server.submit(std::move(bad));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), geo::StatusCode::kInvalidArgument);
+  for (Request* req : {&bad, &late}) {
+    auto r = server.submit(std::move(*req));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), geo::StatusCode::kInvalidArgument);
+  }
   const ServeStats s = server.stats();
-  EXPECT_EQ(s.rejected_invalid, 1);
+  EXPECT_EQ(s.rejected_invalid, 2);
   EXPECT_EQ(s.admitted, 0);
 }
 
@@ -332,16 +332,15 @@ TEST(InferenceServer, TightDeadlineIsTerminalAndServerStaysUsable) {
   const Fixture f;
   ServeOptions o = base_options();
   o.replicas = 1;
-  o.default_deadline_us = 1;  // expires in queue or mid-execution
   InferenceServer server(small_hw(), o);
   shield_all_replicas(server);
 
-  Response r = server.run(f.request());
+  Request tight = f.request();
+  tight.deadline_us = 1;  // expires in queue or mid-execution
+  Response r = server.run(std::move(tight));
   EXPECT_EQ(r.status.code(), geo::StatusCode::kDeadlineExceeded);
 
-  Request unlimited = f.request();
-  unlimited.deadline_us = 0;  // override the server default: no deadline
-  Response clean = server.run(std::move(unlimited));
+  Response clean = server.run(f.request());  // no deadline
   EXPECT_TRUE(clean.status.ok()) << clean.status.to_string();
   EXPECT_EQ(server.stats().failed, 0);
 }
@@ -385,7 +384,6 @@ TEST(InferenceServer, DestructorDrainsPrewarmTasks) {
   {
     ServeOptions o = base_options();
     o.replicas = 1;
-    o.prewarm = true;
     InferenceServer server(small_hw(), o);
     shield_all_replicas(server);
     std::vector<std::future<Response>> futures;

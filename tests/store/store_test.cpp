@@ -370,23 +370,6 @@ TEST(WeightStore, ScrubRepairsRealDamageInPlace) {
   EXPECT_EQ(store.scrub().crc_failures, 0);
 }
 
-TEST(StoreOptions, FromEnvParsesSizesAndFailsClosed) {
-  ::setenv("GEO_STORE_CACHE_MB", "2", 1);
-  ::setenv("GEO_STORE_BLOCK_KB", "16KiB", 1);  // explicit suffix: 16 KiB
-  ::setenv("GEO_STORE_SHARD_MB", "garbage", 1);
-  ::setenv("GEO_STORE_REREADS", "5", 1);
-  StoreOptions o = StoreOptions::from_env("/tmp/x");
-  EXPECT_EQ(o.cache_bytes, 2ll << 20);
-  EXPECT_EQ(o.block_bytes, 16ll << 10);
-  EXPECT_EQ(o.shard_bytes, 4ll << 20) << "malformed value keeps the default";
-  EXPECT_EQ(o.rereads, 5);
-  EXPECT_TRUE(o.validate().ok());
-  ::unsetenv("GEO_STORE_CACHE_MB");
-  ::unsetenv("GEO_STORE_BLOCK_KB");
-  ::unsetenv("GEO_STORE_SHARD_MB");
-  ::unsetenv("GEO_STORE_REREADS");
-}
-
 // --------------------------------------------------------------- Prefetcher
 
 TEST(Prefetcher, HitZeroesStallMissChargesIt) {
