@@ -1,8 +1,9 @@
 // Telemetry demonstration driver: exercises every instrumented subsystem
 // (GeoMachine, PerfSim, Compiler, the training loop) and writes the trace
-// and metrics artifacts requested through the environment:
+// and metrics artifacts requested through the environment, on one command
+// line:
 //
-//   GEO_TRACE=trace.json GEO_METRICS=metrics.json GEO_JOURNAL=journal.jsonl \
+//   GEO_TRACE=trace.json GEO_METRICS=metrics.json GEO_JOURNAL=journal.jsonl
 //     ./geo_profile
 //
 // Open trace.json in Perfetto (https://ui.perfetto.dev) or chrome://tracing

@@ -8,11 +8,9 @@
 
 namespace geo::arch {
 
-double ge_inv() { return 0.67; }
 double ge_and2() { return 1.33; }
 double ge_or2() { return 1.33; }
 double ge_xor2() { return 2.33; }
-double ge_mux2() { return 2.33; }
 double ge_full_adder() { return 6.0; }
 double ge_flip_flop() { return 4.33; }
 

@@ -12,11 +12,9 @@
 namespace geo::arch {
 
 // ---- gate-equivalent costs of primitive structures (in GE = NAND2) -------
-double ge_inv();
 double ge_and2();
 double ge_or2();
 double ge_xor2();
-double ge_mux2();
 double ge_full_adder();
 double ge_flip_flop();
 

@@ -196,31 +196,6 @@ PerfResult PerfSim::simulate(const std::vector<LayerPlan>& plans) const {
   return result;
 }
 
-void apply_retry_cycles(PerfResult& result,
-                        std::span<const std::int64_t> per_layer_retry_cycles,
-                        double clock_mhz) {
-  const double clock_hz = clock_mhz * 1e6;
-  std::int64_t applied = 0;
-  const std::size_t n =
-      std::min(result.layers.size(), per_layer_retry_cycles.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto rc = static_cast<double>(per_layer_retry_cycles[i]);
-    if (rc <= 0) continue;
-    result.layers[i].stall_cycles += rc;
-    result.layers[i].total_cycles += rc;
-    result.cycles += rc;
-    applied += per_layer_retry_cycles[i];
-  }
-  if (clock_hz > 0) result.seconds = result.cycles / clock_hz;
-  result.frames_per_second =
-      result.seconds > 0 ? 1.0 / result.seconds : 0.0;
-  result.average_power_w =
-      result.seconds > 0 ? result.energy_per_frame_j / result.seconds : 0.0;
-  telemetry::MetricsRegistry::instance()
-      .counter("perfsim.retry_cycles")
-      .add(applied);
-}
-
 double PerfSim::peak_gops() const {
   const double macs = hw_.total_macs();
   const double f = hw_.clock_mhz * 1e6;

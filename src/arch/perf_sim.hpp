@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -51,16 +50,6 @@ struct PerfResult {
   AccessCounts accesses;
   std::vector<LayerPerf> layers;
 };
-
-// Mirrors the resilience runtime's retry cost into an analytical result:
-// adds each layer's retry cycles (ResilienceReport::per_layer_retry_cycles,
-// in layer order; extra entries are ignored) to that layer's stall bucket
-// and re-derives the latency figures. Energy is left untouched — backoff
-// cycles are idle, and the recompute energy of abandoned rungs is
-// second-order next to the stall cost. Bumps perfsim.retry_cycles.
-void apply_retry_cycles(PerfResult& result,
-                        std::span<const std::int64_t> per_layer_retry_cycles,
-                        double clock_mhz);
 
 class PerfSim {
  public:

@@ -494,22 +494,6 @@ FaultStats FaultModel::stats() const {
   return s;
 }
 
-void FaultModel::reset_stats() {
-  stream_flips_.store(0, std::memory_order_relaxed);
-  accum_flips_.store(0, std::memory_order_relaxed);
-  seed_upsets_.store(0, std::memory_order_relaxed);
-  sram_corrupted_.store(0, std::memory_order_relaxed);
-  sram_detected_.store(0, std::memory_order_relaxed);
-  sram_corrected_.store(0, std::memory_order_relaxed);
-  sram_silent_.store(0, std::memory_order_relaxed);
-  sram_retry_cycles_.store(0, std::memory_order_relaxed);
-  stuck_events_.store(0, std::memory_order_relaxed);
-  io_rotted_.store(0, std::memory_order_relaxed);
-  io_short_reads_.store(0, std::memory_order_relaxed);
-  io_short_writes_.store(0, std::memory_order_relaxed);
-  io_errors_.store(0, std::memory_order_relaxed);
-}
-
 // ------------------------------------------------------------ active model
 
 namespace {

@@ -236,7 +236,6 @@ class FaultModel {
   bool stuck_enabled() const noexcept { return cfg_.stuck.enabled(); }
 
   FaultStats stats() const;
-  void reset_stats();
 
  private:
   struct SiteRng;  // splitmix64 stream keyed by (model seed, domain, site)

@@ -123,12 +123,6 @@ const char* to_string(Rung r) noexcept {
 
 // ---- ResilienceReport -----------------------------------------------------
 
-bool ResilienceReport::any_retried() const noexcept {
-  for (const auto& l : layers)
-    if (l.tiles_retried > 0) return true;
-  return false;
-}
-
 bool ResilienceReport::any_degraded() const noexcept {
   for (const auto& l : layers)
     if (l.degraded) return true;
@@ -165,13 +159,6 @@ std::int64_t ResilienceReport::total_retry_cycles() const noexcept {
   return n;
 }
 
-std::vector<std::int64_t> ResilienceReport::per_layer_retry_cycles() const {
-  std::vector<std::int64_t> out;
-  out.reserve(layers.size());
-  for (const auto& l : layers) out.push_back(l.retry_cycles());
-  return out;
-}
-
 std::string ResilienceReport::summary() const {
   std::ostringstream os;
   os << "resilience: " << layers.size() << " layer(s), " << tiles_retried()
@@ -194,39 +181,6 @@ std::string ResilienceReport::summary() const {
     if (!first) os << "]";
     os << "\n";
   }
-  return os.str();
-}
-
-std::string ResilienceReport::to_json() const {
-  std::ostringstream os;
-  os << "{\"tiles_retried\":" << tiles_retried()
-     << ",\"tiles_recovered\":" << tiles_recovered()
-     << ",\"layers_degraded\":" << layers_degraded()
-     << ",\"retry_cycles\":" << total_retry_cycles() << ",\"ledger_ok\":"
-     << (ledger_ok() ? "true" : "false") << ",\"layers\":[";
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const LayerOutcome& l = layers[i];
-    if (i != 0) os << ",";
-    os << "{\"layer\":\"" << l.layer << "\",\"rung\":\"" << to_string(l.rung)
-       << "\",\"degraded\":" << (l.degraded ? "true" : "false")
-       << ",\"tiles\":" << l.tiles << ",\"tiles_retried\":" << l.tiles_retried
-       << ",\"tiles_recovered\":" << l.tiles_recovered
-       << ",\"retries\":" << l.retries
-       << ",\"backoff_cycles\":" << l.backoff_cycles
-       << ",\"abandoned_cycles\":" << l.abandoned_cycles
-       << ",\"ledger_ok\":" << (l.ledger_ok ? "true" : "false")
-       << ",\"detections\":{";
-    bool first = true;
-    for (int d = 0; d < kDetectKinds; ++d) {
-      if (l.detections[static_cast<std::size_t>(d)] == 0) continue;
-      if (!first) os << ",";
-      os << "\"" << to_string(static_cast<Detect>(d))
-         << "\":" << l.detections[static_cast<std::size_t>(d)];
-      first = false;
-    }
-    os << "}}";
-  }
-  os << "]}";
   return os.str();
 }
 

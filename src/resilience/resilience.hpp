@@ -110,7 +110,6 @@ struct LayerOutcome {
 struct ResilienceReport {
   std::vector<LayerOutcome> layers;
 
-  bool any_retried() const noexcept;
   bool any_degraded() const noexcept;
   // True when every accepted execution's cycle ledger reconciled and the
   // backoff cycles this runtime charged are visible in those ledgers.
@@ -121,14 +120,8 @@ struct ResilienceReport {
   std::int64_t layers_degraded() const noexcept;
   std::int64_t total_retry_cycles() const noexcept;
 
-  // Per-layer retry_cycles(), in layer order — the PerfSim mirror input
-  // (arch::apply_retry_cycles).
-  std::vector<std::int64_t> per_layer_retry_cycles() const;
-
   // Human-readable multi-line summary (one line per layer + a totals line).
   std::string summary() const;
-  // JSON object for bench reports.
-  std::string to_json() const;
 };
 
 // Per-run controls layered on the policy (the serving runtime's knobs).
@@ -208,7 +201,6 @@ class ResilientExecutor {
 
   const RetryPolicy& policy() const noexcept { return policy_; }
   const ResilienceReport& report() const noexcept { return report_; }
-  ResilienceReport take_report() { return std::move(report_); }
 
   // The most recent completed run_conv's outcome (nullptr before the first
   // completion): `degraded` means the retry budget drained on every

@@ -104,11 +104,6 @@ bool ReplicaHealth::other_candidate(int replica) const {
   return other_candidate_locked(replica);
 }
 
-bool ReplicaHealth::only_candidate(int replica) const {
-  std::lock_guard lock(mu_);
-  return !other_candidate_locked(replica);
-}
-
 bool ReplicaHealth::other_candidate_locked(int replica) const {
   for (std::size_t i = 0; i < states_.size(); ++i)
     if (static_cast<int>(i) != replica &&

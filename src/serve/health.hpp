@@ -65,10 +65,6 @@ class ReplicaHealth {
   // True when some replica other than `replica` is not quarantined (it
   // could take a failed-over request).
   bool other_candidate(int replica) const;
-  // True when every replica other than `replica` is quarantined — the
-  // scheduler's exclusion waiver (a retried request may return to the
-  // replica it failed on rather than wait for a probe).
-  bool only_candidate(int replica) const;
 
   int replicas() const noexcept { return static_cast<int>(states_.size()); }
 

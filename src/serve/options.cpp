@@ -16,6 +16,8 @@ geo::Status ServeOptions::validate() const {
   if (retries < 0) return geo::Status::invalid_argument("serve: retries < 0");
   if (retry_backoff_us < 0)
     return geo::Status::invalid_argument("serve: retry_backoff_us < 0");
+  if (retry_backoff_us > 1'000'000'000)
+    return geo::Status::invalid_argument("serve: retry_backoff_us > 1e9");
   if (breaker_strikes < 1)
     return geo::Status::invalid_argument("serve: breaker_strikes < 1");
   if (probe_after < 1)

@@ -72,7 +72,8 @@ struct ServeOptions {
   int high_water = 0;
   int retries = 1;  // cross-replica failovers per request
   // Wait before failover attempt k is eligible to be re-dispatched (doubles
-  // per attempt).
+  // per attempt, up to 2^20 times). At most 10^9 µs, so the largest wait
+  // stays inside steady_clock's range.
   std::int64_t retry_backoff_us = 200;
   int breaker_strikes = 3;  // dirty outcomes to quarantine
   int probe_after = 8;      // completions elsewhere before a quarantined

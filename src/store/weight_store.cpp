@@ -475,14 +475,6 @@ std::future<void> WeightStore::scrub_async() {
   return exec::AsyncLane::io().submit([this] { scrub(); });
 }
 
-std::vector<std::string> WeightStore::layer_names() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(layers_.size());
-  for (const auto& [name, layer] : layers_) names.push_back(name);
-  return names;
-}
-
 std::uint64_t WeightStore::layer_floats(const std::string& name) const {
   std::lock_guard lock(mu_);
   const auto it = layers_.find(name);

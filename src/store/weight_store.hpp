@@ -137,7 +137,6 @@ class WeightStore {
   // Runs scrub() on the process I/O lane (exec::AsyncLane::io()).
   std::future<void> scrub_async();
 
-  std::vector<std::string> layer_names() const;
   std::uint64_t layer_floats(const std::string& name) const;  // 0 if unknown
   std::int64_t cached_bytes() const;
 

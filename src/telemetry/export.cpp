@@ -1,8 +1,6 @@
 #include "telemetry/export.hpp"
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 namespace geo::telemetry {
 
@@ -19,12 +17,6 @@ Json histogram_json(const Histogram::Snapshot& h) {
   obj.set("p95", Json(h.p95));
   obj.set("p99", Json(h.p99));
   return obj;
-}
-
-std::string csv_cell(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -53,52 +45,10 @@ Json metrics_to_json(const MetricsRegistry& registry) {
   return root;
 }
 
-std::string metrics_to_csv(const MetricsRegistry& registry) {
-  std::string out = "name,kind,value,count,sum,min,max,mean,p50,p95,p99\n";
-  for (const MetricSnapshot& m : registry.snapshot()) {
-    out += m.name;
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        out += ",counter," + csv_cell(m.value) + ",,,,,,,,";
-        break;
-      case MetricKind::kGauge:
-        out += ",gauge," + csv_cell(m.value) + ",,,,,,,,";
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram::Snapshot& h = m.hist;
-        out += ",histogram,," + std::to_string(h.count) + ',' +
-               csv_cell(h.sum) + ',' + csv_cell(h.min) + ',' +
-               csv_cell(h.max) + ',' + csv_cell(h.mean) + ',' +
-               csv_cell(h.p50) + ',' + csv_cell(h.p95) + ',' +
-               csv_cell(h.p99);
-        break;
-      }
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-bool write_metrics_json(const MetricsRegistry& registry,
-                        const std::string& path) {
-  return metrics_to_json(registry).write_file(path);
-}
-
-bool write_metrics_csv(const MetricsRegistry& registry,
-                       const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  os << metrics_to_csv(registry);
-  return static_cast<bool>(os);
-}
-
 bool export_metrics_if_requested(const MetricsRegistry& registry) {
   const char* path = std::getenv("GEO_METRICS");
   if (path == nullptr || path[0] == '\0') return true;
-  const std::string p(path);
-  if (p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0)
-    return write_metrics_csv(registry, p);
-  return write_metrics_json(registry, p);
+  return metrics_to_json(registry).write_file(path);
 }
 
 }  // namespace geo::telemetry

@@ -1,10 +1,8 @@
-// Metrics exporters: JSON and CSV renderings of a MetricsRegistry snapshot,
-// shared by benches, examples, and tests. `GEO_METRICS=<path>` requests an
-// automatic dump at process exit (extension picks the format: `.csv` writes
-// CSV, anything else JSON).
+// Metrics exporter: the JSON rendering of a MetricsRegistry snapshot, shared
+// by benches, examples, and tests. `GEO_METRICS=<path>` requests a JSON dump
+// at process exit, whatever the path's extension.
 #pragma once
 
-#include <string>
 
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -14,14 +12,6 @@ namespace geo::telemetry {
 // {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
 //  min, max, mean, p50, p95, p99}}}
 Json metrics_to_json(const MetricsRegistry& registry);
-
-// Flat rows: name,kind,value,count,sum,min,max,mean,p50,p95,p99
-std::string metrics_to_csv(const MetricsRegistry& registry);
-
-bool write_metrics_json(const MetricsRegistry& registry,
-                        const std::string& path);
-bool write_metrics_csv(const MetricsRegistry& registry,
-                       const std::string& path);
 
 // Honors GEO_METRICS; no-op (returns true) when unset.
 bool export_metrics_if_requested(const MetricsRegistry& registry);

@@ -32,139 +32,7 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Validator: a tolerant recursive-descent syntax checker.
-
 namespace {
-
-struct Parser {
-  std::string_view s;
-  std::size_t i = 0;
-  int depth = 0;
-
-  void skip_ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                            s[i] == '\r'))
-      ++i;
-  }
-  bool eat(char c) {
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view word) {
-    if (s.substr(i, word.size()) != word) return false;
-    i += word.size();
-    return true;
-  }
-  bool string() {
-    if (!eat('"')) return false;
-    while (i < s.size()) {
-      const char c = s[i];
-      if (c == '"') {
-        ++i;
-        return true;
-      }
-      if (c == '\\') {
-        ++i;
-        if (i >= s.size()) return false;
-        const char e = s[i];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k)
-            if (i + static_cast<std::size_t>(k) >= s.size() ||
-                !std::isxdigit(static_cast<unsigned char>(
-                    s[i + static_cast<std::size_t>(k)])))
-              return false;
-          i += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-      ++i;
-    }
-    return false;
-  }
-  bool number() {
-    const std::size_t start = i;
-    if (eat('-')) {}
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i == start || (i == start + 1 && s[start] == '-')) return false;
-    if (eat('.')) {
-      const std::size_t frac = i;
-      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-        ++i;
-      if (i == frac) return false;
-    }
-    if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-      ++i;
-      if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-      const std::size_t ex = i;
-      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-        ++i;
-      if (i == ex) return false;
-    }
-    return true;
-  }
-  bool value() {
-    if (++depth > 256) return false;
-    skip_ws();
-    bool ok = false;
-    if (i >= s.size()) {
-      ok = false;
-    } else if (s[i] == '{') {
-      ++i;
-      skip_ws();
-      if (eat('}')) {
-        ok = true;
-      } else {
-        ok = true;
-        while (ok) {
-          skip_ws();
-          ok = string();
-          if (!ok) break;
-          skip_ws();
-          ok = eat(':') && value();
-          if (!ok) break;
-          skip_ws();
-          if (eat(',')) continue;
-          ok = eat('}');
-          break;
-        }
-      }
-    } else if (s[i] == '[') {
-      ++i;
-      skip_ws();
-      if (eat(']')) {
-        ok = true;
-      } else {
-        ok = true;
-        while (ok) {
-          ok = value();
-          if (!ok) break;
-          skip_ws();
-          if (eat(',')) continue;
-          ok = eat(']');
-          break;
-        }
-      }
-    } else if (s[i] == '"') {
-      ok = string();
-    } else if (s[i] == 't') {
-      ok = literal("true");
-    } else if (s[i] == 'f') {
-      ok = literal("false");
-    } else if (s[i] == 'n') {
-      ok = literal("null");
-    } else {
-      ok = number();
-    }
-    --depth;
-    return ok;
-  }
-};
 
 std::string format_double(double v) {
   if (!std::isfinite(v)) return "null";  // JSON has no NaN/Inf
@@ -174,21 +42,8 @@ std::string format_double(double v) {
   return std::string(buf, end);
 }
 
-}  // namespace
-
-bool json_valid(std::string_view text) {
-  Parser p{text};
-  if (!p.value()) return false;
-  p.skip_ws();
-  return p.i == text.size();
-}
-
 // ---------------------------------------------------------------------------
-// Tree-building parser (inverse of dump). Same grammar as the validator but
-// materializes a Json value; kept separate so the validator stays allocation
-// free.
-
-namespace {
+// Recursive-descent parser (inverse of dump); also the validity check.
 
 void append_utf8(std::string& out, std::uint32_t cp) {
   if (cp < 0x80) {
@@ -208,7 +63,7 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
-struct TreeParser {
+struct Parser {
   std::string_view s;
   std::size_t i = 0;
   int depth = 0;
@@ -405,12 +260,16 @@ struct TreeParser {
 }  // namespace
 
 std::optional<Json> Json::parse(std::string_view text) {
-  TreeParser p{text};
+  Parser p{text};
   Json out;
   if (!p.value(out)) return std::nullopt;
   p.skip_ws();
   if (p.i != text.size()) return std::nullopt;
   return out;
+}
+
+bool json_valid(std::string_view text) {
+  return Json::parse(text).has_value();
 }
 
 std::optional<Json> Json::parse_file(const std::string& path) {

@@ -15,8 +15,9 @@ namespace geo::telemetry {
 // Escapes `s` for inclusion inside a JSON string literal (no quotes added).
 std::string json_escape(std::string_view s);
 
-// Structural validity check (syntax only, recursive descent). Used by tests
-// to assert emitted artifacts are loadable without a third-party parser.
+// True when `text` parses: `Json::parse(text).has_value()`, so a document
+// that passes this check also loads. Used by tests and benches to assert
+// emitted artifacts are loadable without a third-party parser.
 bool json_valid(std::string_view text);
 
 class Json {

@@ -6,7 +6,7 @@
 //                    GEO_TRACE=<path>
 //   Journal          bounded structured event ring, gated by
 //                    GEO_JOURNAL=<path>
-//   exporters        JSON/CSV metric dumps, gated by GEO_METRICS=<path>
+//   exporters        JSON metric dumps, gated by GEO_METRICS=<path>
 //   bench_diff       BENCH_*.json comparison under per-metric tolerances
 //
 // See docs/OBSERVABILITY.md for the environment knobs and file formats.

@@ -289,14 +289,5 @@ TEST(FaultModelActive, ScopedInjectionOverridesAndRestores) {
   EXPECT_EQ(active(), nullptr);
 }
 
-TEST(FaultModelStats, ResetClearsTheLedger) {
-  FaultModel m(stream_cfg(1.0));
-  std::vector<std::uint64_t> w(1, 0);
-  m.corrupt_stream(w.data(), 64, Site::kWeightStream, 0);
-  EXPECT_GT(m.stats().stream_bits_flipped, 0);
-  m.reset_stats();
-  EXPECT_EQ(m.stats().stream_bits_flipped, 0);
-}
-
 }  // namespace
 }  // namespace geo::fault

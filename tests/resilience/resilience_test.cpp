@@ -1,7 +1,6 @@
 // The detect -> retry -> degrade runtime: policy parsing, the no-fault
 // bit-identity contract, defect-model degradation to the fixed-point
-// reference, transient-model recovery, deterministic retry decisions, and
-// the PerfSim retry-cycle mirror.
+// reference, transient-model recovery, and deterministic retry decisions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "arch/machine.hpp"
-#include "arch/perf_sim.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/sc_layers.hpp"
 #include "resilience/resilience.hpp"
@@ -151,7 +149,7 @@ TEST(ResilientExecutor, NoFaultsIsBitIdenticalToMachine) {
   EXPECT_EQ(o.tiles_retried, 0);
   EXPECT_EQ(o.retries, 0);
   EXPECT_EQ(o.retry_cycles(), 0);
-  EXPECT_FALSE(exec.report().any_retried());
+  EXPECT_EQ(exec.report().tiles_retried(), 0);
   EXPECT_FALSE(exec.report().any_degraded());
   EXPECT_TRUE(exec.report().ledger_ok());
 }
@@ -264,7 +262,7 @@ TEST(ResilientExecutor, RetryDecisionsAreDeterministic) {
     auto r = exec.run_conv(f.shape, f.weights, f.input, f.ones, f.zeros, 9,
                            "det");
     EXPECT_TRUE(r.ok());
-    return std::pair(std::move(*r), exec.take_report());
+    return std::pair(std::move(*r), exec.report());
   };
   const auto [r1, rep1] = run();
   const auto [r2, rep2] = run();
@@ -339,48 +337,13 @@ TEST(ResilienceReport, SummaryAndJsonCarryTheOutcome) {
   rep.layers.push_back(o);
 
   EXPECT_TRUE(rep.any_degraded());
-  EXPECT_TRUE(rep.any_retried());
+  EXPECT_EQ(rep.tiles_retried(), 2);
   EXPECT_EQ(rep.total_retry_cycles(), 1096);
-  ASSERT_EQ(rep.per_layer_retry_cycles().size(), 1u);
-  EXPECT_EQ(rep.per_layer_retry_cycles()[0], 1096);
 
   const std::string s = rep.summary();
   EXPECT_NE(s.find("conv1"), std::string::npos);
   EXPECT_NE(s.find("reference"), std::string::npos);
   EXPECT_NE(s.find("secded_double_bit"), std::string::npos);
-
-  const std::string j = rep.to_json();
-  EXPECT_TRUE(telemetry::json_valid(j)) << j;
-  EXPECT_NE(j.find("\"conv1\""), std::string::npos);
-  EXPECT_NE(j.find("\"reference\""), std::string::npos);
-}
-
-TEST(PerfSimMirror, ApplyRetryCyclesUpdatesLatencyOnly) {
-  arch::PerfResult r;
-  arch::LayerPerf l0, l1;
-  l0.compute_cycles = 800;
-  l0.stall_cycles = 100;
-  l0.nearmem_cycles = 100;
-  l0.total_cycles = 1000;
-  l1 = l0;
-  r.layers = {l0, l1};
-  r.cycles = 2000;
-  r.energy_per_frame_j = 1e-6;
-  const double clock_mhz = 100.0;
-  r.seconds = r.cycles / (clock_mhz * 1e6);
-
-  const std::vector<std::int64_t> retry = {500, 0};
-  arch::apply_retry_cycles(r, retry, clock_mhz);
-
-  EXPECT_DOUBLE_EQ(r.layers[0].stall_cycles, 600);
-  EXPECT_DOUBLE_EQ(r.layers[0].total_cycles, 1500);
-  EXPECT_DOUBLE_EQ(r.layers[1].total_cycles, 1000);
-  EXPECT_DOUBLE_EQ(r.cycles, 2500);
-  EXPECT_DOUBLE_EQ(r.seconds, 2500 / (clock_mhz * 1e6));
-  EXPECT_DOUBLE_EQ(r.frames_per_second, 1.0 / r.seconds);
-  // Energy untouched; power re-derived from the stretched latency.
-  EXPECT_DOUBLE_EQ(r.energy_per_frame_j, 1e-6);
-  EXPECT_DOUBLE_EQ(r.average_power_w, 1e-6 / r.seconds);
 }
 
 }  // namespace

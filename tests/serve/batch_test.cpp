@@ -203,9 +203,12 @@ TEST(ResilientExecutor, BatchMatchesSoloAcrossThreadsAndFaults) {
         }
         // One preparation per machine rung the group tried.
         EXPECT_EQ(batch_prepares, machine_rungs_through(hw, lowest)) << where;
-        if (mode == Mode::kClean) EXPECT_EQ(batch_prepares, 1) << where;
-        if (mode == Mode::kPersistent)
+        if (mode == Mode::kClean) {
+          EXPECT_EQ(batch_prepares, 1) << where;
+        }
+        if (mode == Mode::kPersistent) {
           EXPECT_EQ(lowest, resilience::Rung::kReference) << where;
+        }
       }
     }
   }

@@ -144,7 +144,6 @@ TEST(ReplicaHealth, OpensAfterStrikesProbesAndReadmits) {
   EXPECT_FALSE(health.admit(0));  // quarantined, countdown not drained
   EXPECT_TRUE(health.other_candidate(0));   // replica 1 can take failovers
   EXPECT_FALSE(health.other_candidate(1));  // replica 0 cannot
-  EXPECT_TRUE(health.only_candidate(1));
 
   // Completions on replica 1 drain replica 0's probe countdown.
   for (int i = 0; i < 3; ++i) {
@@ -231,7 +230,9 @@ TEST(InferenceServer, QuarantinesFaultyReplicaFailsOverThenReadmits) {
       Response r = fut.get();
       ASSERT_TRUE(r.status.ok()) << r.status.to_string();
       EXPECT_FALSE(r.degraded);  // failover preserved fidelity
-      if (r.attempts > 1) EXPECT_EQ(r.replica, 1);
+      if (r.attempts > 1) {
+        EXPECT_EQ(r.replica, 1);
+      }
     }
     opened = server.stats().quarantines > 0;
   }

@@ -94,6 +94,14 @@ TEST(ServeOptions, ValidateAndHighWaterResolution) {
   ServeOptions bad;
   bad.replicas = 0;
   EXPECT_FALSE(bad.validate().ok());
+
+  // The failover wait shifts the backoff left by up to 20; larger values
+  // overflow the clock.
+  ServeOptions backoff;
+  backoff.retry_backoff_us = 1'000'000'000;
+  EXPECT_TRUE(backoff.validate().ok());
+  backoff.retry_backoff_us = std::int64_t{1} << 43;
+  EXPECT_FALSE(backoff.validate().ok());
 }
 
 TEST(InferenceServer, CleanRequestIsBitIdenticalToMachine) {

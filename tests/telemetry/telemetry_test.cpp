@@ -54,6 +54,10 @@ TEST(Json, ValidatorAcceptsAndRejects) {
   EXPECT_FALSE(json_valid("[1 2]"));
   EXPECT_FALSE(json_valid("{\"a\": 1} trailing"));
   EXPECT_FALSE(json_valid("\"unterminated"));
+  // One grammar: what the check accepts, Json::parse loads.
+  EXPECT_FALSE(json_valid("1e999"));
+  EXPECT_FALSE(json_valid("-1e999"));
+  EXPECT_FALSE(json_valid("\"\\uD800\\u0041\""));
 }
 
 TEST(Json, RawNodeValidatedAtDump) {
@@ -174,12 +178,6 @@ TEST(Export, JsonAndCsvRenderTheRegistry) {
   EXPECT_TRUE(json_valid(s)) << s;
   EXPECT_NE(s.find("\"test.export.counter\""), std::string::npos);
   EXPECT_NE(s.find("\"p99\""), std::string::npos);
-
-  const std::string csv = metrics_to_csv(reg);
-  EXPECT_NE(csv.find("name,kind,value,count,sum,min,max,mean,p50,p95,p99"),
-            std::string::npos);
-  EXPECT_NE(csv.find("test.export.counter,counter,7"), std::string::npos);
-  EXPECT_NE(csv.find("test.export.hist,histogram"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
