@@ -142,6 +142,53 @@ void BM_ScConvForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ScConvForward)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 
+// One window of the row-broadcast MAC (nn::ScAccumulator, kPbw) at CNN-4's
+// shapes on the ULP fabric: 32 output channels, 64-bit streams (wpl = 1).
+// conv1 has K = 75 taps in one kernel slice; conv2 has K = 800 taps run as
+// two slices of macs_per_row = 400, like the machine's tile walk.
+void BM_RowBroadcastMac(benchmark::State& state) {
+  using namespace geo::nn;
+  const int cin = static_cast<int>(state.range(0));
+  const int hw = static_cast<int>(state.range(1));
+  const int slices = static_cast<int>(state.range(2));
+  constexpr int kCout = 32;
+  constexpr std::size_t kLen = 64, kWpl = 1;
+  const TapLayout layout = tap_layout(AccumMode::kPbw, cin, 5, 5, hw, hw);
+  const int K = layout.taps;
+  std::mt19937_64 rng(11);
+  // Random operands: activations ~1/2 dense, weights ~1/4 dense, each weight
+  // on its positive or its negative channel.
+  std::vector<std::uint64_t> act(static_cast<std::size_t>(K) * kWpl);
+  std::vector<std::uint64_t> wpos(static_cast<std::size_t>(K) * kCout * kWpl);
+  std::vector<std::uint64_t> wneg(wpos.size());
+  for (auto& w : act) w = rng();
+  for (std::size_t i = 0; i < wpos.size(); ++i) {
+    const std::uint64_t w = rng() & rng();
+    (rng() & 1 ? wpos : wneg)[i] = w;
+  }
+  std::vector<const std::uint64_t*> taps(static_cast<std::size_t>(K));
+  for (int t = 0; t < K; ++t)
+    taps[static_cast<std::size_t>(t)] = &act[static_cast<std::size_t>(t) * kWpl];
+  ScAccumulator acc(layout, kLen, kCout, nullptr);
+  std::vector<ScAccumulator::Sum> sums(kCout);
+  for (auto _ : state) {
+    std::int64_t total = 0;
+    for (int p = 0; p < slices; ++p) {
+      acc.accumulate(0, 1, p * K / slices, (p + 1) * K / slices, taps.data(),
+                     wpos.data(), wneg.data(), sums);
+      total += sums[0].counter;
+    }
+    benchmark::DoNotOptimize(total);
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * K * kCout);  // tap steps
+  state.SetLabel(std::string(slices == 1 ? "conv1" : "conv2") + " K=" +
+                 std::to_string(K) + " " +
+                 geo::sc::simd::to_string(geo::sc::simd::active()));
+}
+BENCHMARK(BM_RowBroadcastMac)->Args({3, 32, 1})->Args({32, 16, 2});
+
 // Directly measured streams/s for one engine configuration at n=8 / L=256.
 // Kept outside google-benchmark so the table-vs-tick speedup always lands in
 // BENCH_micro_sc_kernels.json, even under --benchmark_filter.

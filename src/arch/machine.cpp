@@ -146,16 +146,24 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
 template <typename Fn>
 void ConvExecution::Impl::for_each_window_tap(std::int64_t pos, int lo,
                                               int hi, Fn&& fn) const {
-  const int oy = static_cast<int>(pos) / wo;
-  const int ox = static_cast<int>(pos) % wo;
+  const int y0 = static_cast<int>(pos) / wo * shape.stride - shape.pad;
+  const int x0 = static_cast<int>(pos) % wo * shape.stride - shape.pad;
+  // (ic, ky, kx) of tap t, stepped with t instead of divided out per tap.
+  int kx = lo % shape.kw;
+  int ky = lo / shape.kw % shape.kh;
+  int ic = lo / (shape.kw * shape.kh);
   for (int t = lo; t < hi; ++t) {
-    const int kx = t % shape.kw;
-    const int ky = (t / shape.kw) % shape.kh;
-    const int ic = t / (shape.kw * shape.kh);
-    const int iy = oy * shape.stride - shape.pad + ky;
-    const int ix = ox * shape.stride - shape.pad + kx;
-    if (iy < 0 || iy >= shape.hin || ix < 0 || ix >= shape.win) continue;
-    fn(t, (static_cast<std::size_t>(ic) * shape.hin + iy) * shape.win + ix);
+    const int iy = y0 + ky;
+    const int ix = x0 + kx;
+    if (iy >= 0 && iy < shape.hin && ix >= 0 && ix < shape.win)
+      fn(t, (static_cast<std::size_t>(ic) * shape.hin + iy) * shape.win + ix);
+    if (++kx == shape.kw) {
+      kx = 0;
+      if (++ky == shape.kh) {
+        ky = 0;
+        ++ic;
+      }
+    }
   }
 }
 
@@ -181,8 +189,14 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
   // identical in any merge order.
   MachineStats st;
   // The accumulator's working buffers are per run: concurrent tiles must not
-  // share them.
-  nn::ScAccumulator acc(layout, static_cast<std::size_t>(L), fm);
+  // share them. The tile's rows are channels [c0, c0 + nch), contiguous at
+  // every tap of the tap-major bank.
+  nn::ScAccumulator acc(layout, static_cast<std::size_t>(L), shape.cout, fm);
+  const int c0 = cg * R;
+  std::vector<nn::ScAccumulator::Sum> sums(
+      static_cast<std::size_t>(std::min(chans_at_once, shape.cout - c0)));
+  const std::uint64_t* row_pos = &wpos[static_cast<std::size_t>(c0) * wpl];
+  const std::uint64_t* row_neg = &wneg[static_cast<std::size_t>(c0) * wpl];
   std::vector<const std::uint64_t*> taps(static_cast<std::size_t>(K));
 
   for (int p = 0; p < slices; ++p) {
@@ -202,7 +216,7 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
     st.compute_cycles += pass.compute_cycles;
 
     // -- bit-exact computation of this pass's outputs: each window's taps
-    //    are gathered once and feed every row of the channel group.
+    //    are gathered once and broadcast to every row of the channel group.
     telemetry::ScopedTimer mac_timer(*mac_hist, "machine.mac_rows",
                                      "machine");
     const int tap_lo = static_cast<int>(p * M);
@@ -217,21 +231,18 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
                             taps[static_cast<std::size_t>(t)] =
                                 act_stream(aidx);
                           });
-      for (int c = 0; c < chans_at_once; ++c) {
-        const int oc = cg * R + c;
-        if (oc >= shape.cout) break;
-        const std::size_t oidx = static_cast<std::size_t>(oc) * xy +
-                                 static_cast<std::size_t>(pos);
-        const std::size_t row = static_cast<std::size_t>(oc) * K * wpl;
-        const auto sum = static_cast<std::int32_t>(
-            acc.accumulate(oidx, tap_lo, tap_hi, taps.data(), &wpos[row],
-                           &wneg[row])
-                .counter);
+      const std::size_t oidx = static_cast<std::size_t>(c0) * xy +
+                               static_cast<std::size_t>(pos);
+      acc.accumulate(oidx, static_cast<std::size_t>(xy), tap_lo, tap_hi,
+                     taps.data(), row_pos, row_neg, sums);
+      for (std::size_t c = 0; c < sums.size(); ++c) {
+        const auto sum = static_cast<std::int32_t>(sums[c].counter);
         // The first slice replaces the counter, so a retry-from-snapshot
         // never double-counts. Later slices accumulate onto it; the plan
         // spills the partial sum to near memory (read-add-write) only when
         // the fabric has it, otherwise it stays in the output converter.
-        std::int32_t& counter = result.counters[oidx];
+        std::int32_t& counter =
+            result.counters[oidx + c * static_cast<std::size_t>(xy)];
         counter = p == 0 ? sum : counter + sum;
         if (p > 0 && plan.nm_psum_ops > 0) ++st.psum_ops;
       }
@@ -560,6 +571,8 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   const int L = impl->L;
 
   // ---- weight memory -> weight SNG streams (whole filter bank) ----------
+  // Stored tap-major (nn::TapLayout): stream s = t*cout + oc. The fan-out
+  // runs in storage order, so each lane writes one contiguous range.
   impl->wpos.assign(weights.size() * wpl, 0);
   impl->wneg.assign(weights.size() * wpl, 0);
   {
@@ -567,16 +580,19 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
                              {{"streams", static_cast<double>(
                                    weights.size())}});
     // Each stream writes a disjoint slice of wpos/wneg and every fault site
-    // is touched exactly once, so the fan-out is order-independent — byte-
-    // identical to the old nested serial loop at any thread count.
-    const std::int64_t kw = shape.kw, kh = shape.kh, cin = shape.cin;
+    // (keyed by the weight's index oc*K + t) is touched exactly once, so the
+    // fan-out is order-independent — byte-identical to a serial loop at any
+    // thread count.
+    const std::int64_t kw = shape.kw, kh = shape.kh, cout = shape.cout;
+    const std::int64_t K = impl->K;
     exec::parallel_for(
-        static_cast<std::int64_t>(weights.size()), [&](std::int64_t i) {
-          const std::size_t idx = static_cast<std::size_t>(i);
-          const int kx = static_cast<int>(i % kw);
-          const int ky = static_cast<int>((i / kw) % kh);
-          const int ic = static_cast<int>((i / (kw * kh)) % cin);
-          const int oc = static_cast<int>(i / (kw * kh * cin));
+        static_cast<std::int64_t>(weights.size()), [&](std::int64_t s) {
+          const std::int64_t tap = s / cout;
+          const int oc = static_cast<int>(s % cout);
+          const int kx = static_cast<int>(tap % kw);
+          const int ky = static_cast<int>((tap / kw) % kh);
+          const int ic = static_cast<int>(tap / (kw * kh));
+          const std::size_t idx = static_cast<std::size_t>(oc * K + tap);
           const float w = std::clamp(weights[idx], -1.0f, 1.0f);
           std::uint32_t q =
               nn::quantize_unsigned(std::abs(w), cfg.value_bits);
@@ -585,7 +601,8 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
                               fault::FaultModel::Site::kWeightSram, idx);
           const sc::SeedSpec spec = impl->alloc->weight({oc, ic, ky, kx});
           nn::generate_layer_stream(
-              (w >= 0.0f ? &impl->wpos : &impl->wneg)->data() + idx * wpl,
+              (w >= 0.0f ? &impl->wpos : &impl->wneg)->data() +
+                  static_cast<std::size_t>(s) * wpl,
               wpl, static_cast<std::size_t>(L), cfg, spec, q, fm,
               fault::FaultModel::Site::kWeightStream, idx,
               impl->use_stream_table);

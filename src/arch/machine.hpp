@@ -14,9 +14,12 @@
 // Functional contract (tested): the pre-BN output counts equal what the
 // nn::ScConv2d / nn::ScLinear reference computes for the same
 // configuration, seed layout and quantized operands on every layer whose OR
-// groups fit in one kernel slice. Both run nn::ScAccumulator over
-// nn::tap_layout; rows and windows never change the arithmetic, and a
-// kernel slice only splits a group that spans it.
+// groups fit in one kernel slice. Both store the weight bank tap-major and
+// run nn::ScAccumulator over nn::tap_layout: per window and kernel slice,
+// one call broadcasts the gathered activation streams to every row of the
+// tile's channel group, as GEO's activation SNGs feed all MAC rows. Rows
+// and windows never change the arithmetic, and a kernel slice only splits
+// a group that spans it.
 #pragma once
 
 #include <cstdint>

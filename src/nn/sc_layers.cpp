@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -95,15 +94,13 @@ void generate_layer_stream(std::uint64_t* dst, std::size_t wpl,
   if (fm != nullptr) fm->corrupt_stream(dst, length, domain, site);
 }
 
-namespace {
-
 // Streaming APC state (modeled after [24]) for one output: products are
 // consumed in pairs, merged with alternating OR / AND at weight 2, so the
 // over-count of OR merges and the under-count of AND merges cancel in
 // expectation; see sc/parallel_counter.hpp. The positive (0) and negative
 // (1) channels pair independently (they feed separate counter inputs in
-// hardware). The pending products live in the caller's buffer.
-struct ApcState {
+// hardware). The pending products live in the accumulator's buffer.
+struct ScAccumulator::ApcState {
   std::uint64_t* pending[2];  // wpl words each
   std::size_t wpl;
   bool has_pending[2] = {false, false};
@@ -134,8 +131,6 @@ struct ApcState {
   }
 };
 
-}  // namespace
-
 TapLayout tap_layout(AccumMode accum, int cin, int kh, int kw, int hin,
                      int win) {
   TapLayout layout;
@@ -157,123 +152,152 @@ TapLayout tap_layout(AccumMode accum, int cin, int kh, int kw, int hin,
 }
 
 ScAccumulator::ScAccumulator(const TapLayout& layout, std::size_t length,
-                             fault::FaultModel* fm)
+                             int cout, fault::FaultModel* fm)
     : layout_(layout),
       len_(length),
       wpl_((length + 63) / 64),
+      tap_stride_(static_cast<std::size_t>(cout) * wpl_),
       fm_(fm),
       accum_faults_(fm != nullptr && fm->accum_active()),
-      stuck_faults_(fm != nullptr && fm->stuck_enabled()) {
-  const bool apc = layout.accum == AccumMode::kApc;
-  groups_.resize(static_cast<std::size_t>(layout.groups) * 2 * wpl_);
-  // A stuck column on the direct (kFxp) path corrupts per-cycle counts.
-  if (stuck_faults_ && layout.accum == AccumMode::kFxp)
-    cycles_.resize(2 * len_);
-  // Products are materialized when the accumulator-input wires are faulty or
-  // the accumulator consumes whole product streams (APC pairs, per-cycle
-  // stuck counts); otherwise the AND fuses into the OR or the popcount.
-  if (accum_faults_ || apc || !cycles_.empty())
-    prod_.resize((apc ? 4 : 2) * wpl_);
-}
+      stuck_faults_(fm != nullptr && fm->stuck_enabled()) {}
 
-ScAccumulator::Sum ScAccumulator::accumulate(std::size_t oidx, int lo,
-                                             int hi,
-                                             const std::uint64_t* const* act,
-                                             const std::uint64_t* wpos,
-                                             const std::uint64_t* wneg) {
+ScAccumulator::~ScAccumulator() = default;
+
+void ScAccumulator::accumulate(std::size_t oidx, std::size_t ostride, int lo,
+                               int hi, const std::uint64_t* const* act,
+                               const std::uint64_t* wpos,
+                               const std::uint64_t* wneg,
+                               std::span<Sum> sums) {
+  const std::size_t nch = sums.size();
   const std::size_t wpl = wpl_;
-  std::fill(groups_.begin(), groups_.end(), 0);
-  std::fill(cycles_.begin(), cycles_.end(), 0);
-  std::optional<ApcState> apc;
-  if (layout_.accum == AccumMode::kApc) {
-    std::uint64_t* pending = prod_.data() + 2 * wpl;
-    apc = ApcState{{pending, pending + wpl}, wpl};
-  }
-  Sum sum;
-  for (int t = lo; t < hi; ++t) {
-    const std::uint64_t* a = act[t];
-    if (a == nullptr) continue;  // padding tap
-    const std::uint64_t* wp = wpos + static_cast<std::size_t>(t) * wpl;
-    const std::uint64_t* wn = wneg + static_cast<std::size_t>(t) * wpl;
-    if (!prod_.empty()) {
-      std::uint64_t* pp = prod_.data();
-      std::uint64_t* pn = pp + wpl;
-      for (std::size_t i = 0; i < wpl; ++i) {
-        pp[i] = a[i] & wp[i];
-        pn[i] = a[i] & wn[i];
-      }
-      if (accum_faults_) {
-        const std::uint64_t site =
-            (static_cast<std::uint64_t>(oidx) * layout_.taps + t) * 2;
-        fm_->corrupt_accum_input(pp, len_, site);
-        fm_->corrupt_accum_input(pn, len_, site + 1);
-      }
-      // From here on wp/wn are the (possibly corrupted) products.
-      wp = pp;
-      wn = pn;
-      a = nullptr;
+  const std::size_t row = nch * wpl;  // one (pos or neg) row per channel
+  std::fill(sums.begin(), sums.end(), Sum{});
+  groups_.assign(static_cast<std::size_t>(layout_.groups) * 2 * row, 0);
+  prod_.resize(2 * row);
+  counts_.resize(2 * nch);
+
+  // fn(t, a, wp, wn) for every non-padding tap of [lo, hi); wp/wn are the
+  // run's weight rows at tap t.
+  auto for_each_tap = [&](auto&& fn) {
+    for (int t = lo; t < hi; ++t) {
+      const std::uint64_t* a = act[t];
+      if (a == nullptr) continue;  // padding tap
+      const std::size_t off = static_cast<std::size_t>(t) * tap_stride_;
+      fn(t, a, wpos + off, wneg + off);
     }
-    if (layout_.groups > 0) {
-      std::uint64_t* gp =
-          &groups_[static_cast<std::size_t>(layout_.group[t]) * 2 * wpl];
-      std::uint64_t* gn = gp + wpl;
-      if (a != nullptr) {
-        sc::simd::or_and_into(gp, a, wp, wpl);
-        sc::simd::or_and_into(gn, a, wn, wpl);
-      } else {
-        sc::simd::or_into(gp, wp, wpl);
-        sc::simd::or_into(gn, wn, wpl);
-      }
-    } else if (apc) {
-      if (sc::simd::popcount_words(wp, wpl) != 0) apc->push(wp, 0);
-      if (sc::simd::popcount_words(wn, wpl) != 0) apc->push(wn, 1);
-    } else if (!cycles_.empty()) {
-      // Scatter the product bits into per-cycle pos/neg counts.
-      for (std::size_t i = 0; i < wpl; ++i) {
-        for (std::uint64_t bp = wp[i]; bp != 0; bp &= bp - 1)
-          ++cycles_[i * 64 + static_cast<unsigned>(std::countr_zero(bp))];
-        for (std::uint64_t bn = wn[i]; bn != 0; bn &= bn - 1)
-          ++cycles_[len_ + i * 64 +
-                    static_cast<unsigned>(std::countr_zero(bn))];
-      }
-    } else if (a != nullptr) {
-      sum.counter += sc::simd::mac_popcount(a, wp, wn, wpl);
-    } else {
-      sum.counter +=
-          static_cast<std::int64_t>(sc::simd::popcount_words(wp, wpl)) -
-          static_cast<std::int64_t>(sc::simd::popcount_words(wn, wpl));
+  };
+  // Materializes tap t's products for every channel in prod_ (pos rows,
+  // then neg rows) and corrupts their accumulator-input wires.
+  auto products = [&](int t, const std::uint64_t* a, const std::uint64_t* wp,
+                      const std::uint64_t* wn) {
+    std::fill(prod_.begin(), prod_.end(), 0);
+    std::uint64_t* pp = prod_.data();
+    std::uint64_t* pn = pp + row;
+    sc::simd::or_and_rows(pp, a, wp, nch, wpl);
+    sc::simd::or_and_rows(pn, a, wn, nch, wpl);
+    if (!accum_faults_) return;
+    for (std::size_t c = 0; c < nch; ++c) {
+      const std::uint64_t site =
+          ((oidx + c * ostride) * static_cast<std::uint64_t>(layout_.taps) +
+           static_cast<std::uint64_t>(t)) *
+          2;
+      fm_->corrupt_accum_input(pp + c * wpl, len_, site);
+      fm_->corrupt_accum_input(pn + c * wpl, len_, site + 1);
     }
+  };
+  auto group_rows = [&](int t) {
+    return &groups_[static_cast<std::size_t>(layout_.group[t]) * 2 * row];
+  };
+
+  if (layout_.groups > 0 && !accum_faults_) {
+    // The AND fuses into the OR: products are never materialized.
+    for_each_tap([&](int t, const auto* a, const auto* wp, const auto* wn) {
+      std::uint64_t* gp = group_rows(t);
+      sc::simd::or_and_rows(gp, a, wp, nch, wpl);
+      sc::simd::or_and_rows(gp + row, a, wn, nch, wpl);
+    });
+  } else if (layout_.groups > 0) {
+    for_each_tap([&](int t, const auto* a, const auto* wp, const auto* wn) {
+      products(t, a, wp, wn);
+      std::uint64_t* gp = group_rows(t);
+      sc::simd::or_into(gp, prod_.data(), 2 * row);
+    });
+  } else if (layout_.accum == AccumMode::kApc) {
+    pending_.resize(2 * row);
+    apc_.assign(nch, ApcState{});
+    for (std::size_t c = 0; c < nch; ++c) {
+      std::uint64_t* p = &pending_[2 * c * wpl];
+      apc_[c].pending[0] = p;
+      apc_[c].pending[1] = p + wpl;
+      apc_[c].wpl = wpl;
+    }
+    for_each_tap([&](int t, const auto* a, const auto* wp, const auto* wn) {
+      products(t, a, wp, wn);
+      sc::simd::popcount_rows(counts_.data(), prod_.data(), 2 * nch, wpl);
+      for (std::size_t c = 0; c < nch; ++c) {
+        if (counts_[c] != 0) apc_[c].push(&prod_[c * wpl], 0);
+        if (counts_[nch + c] != 0) apc_[c].push(&prod_[row + c * wpl], 1);
+      }
+    });
+    for (std::size_t c = 0; c < nch; ++c) sums[c].counter = apc_[c].finish();
+  } else if (stuck_faults_) {
+    // A stuck column on the direct (kFxp) path corrupts per-cycle counts:
+    // scatter the product bits into per-channel pos/neg counts per cycle.
+    cycles_.assign(nch * 2 * len_, 0);
+    for_each_tap([&](int t, const auto* a, const auto* wp, const auto* wn) {
+      products(t, a, wp, wn);
+      for (std::size_t r = 0; r < 2 * nch; ++r) {
+        std::uint32_t* cyc = &cycles_[r * len_];
+        const std::uint64_t* p = &prod_[r * wpl];
+        for (std::size_t i = 0; i < wpl; ++i)
+          for (std::uint64_t b = p[i]; b != 0; b &= b - 1)
+            ++cyc[i * 64 + static_cast<unsigned>(std::countr_zero(b))];
+      }
+    });
+    for (std::size_t c = 0; c < nch; ++c) {
+      const std::uint32_t* cp = &cycles_[c * len_];
+      const std::uint32_t* cn = &cycles_[(nch + c) * len_];
+      for (std::size_t i = 0; i < len_; ++i) {
+        sums[c].counter += fm_->apply_stuck(cp[i]);
+        sums[c].counter -= fm_->apply_stuck(cn[i]);
+      }
+    }
+  } else {
+    for_each_tap([&](int t, const auto* a, const auto* wp, const auto* wn) {
+      products(t, a, wp, wn);
+      sc::simd::popcount_rows(counts_.data(), prod_.data(), 2 * nch, wpl);
+      for (std::size_t c = 0; c < nch; ++c)
+        sums[c].counter += static_cast<std::int64_t>(counts_[c]) -
+                           static_cast<std::int64_t>(counts_[nch + c]);
+    });
   }
 
+  // Group reduction: one popcount per (group, sign, channel) row.
   const double inv_len = 1.0 / static_cast<double>(len_);
   for (int g = 0; g < layout_.groups; ++g) {
-    const std::uint64_t* gp =
-        &groups_[static_cast<std::size_t>(g) * 2 * wpl];
-    const std::uint64_t* gn = gp + wpl;
-    const auto pos =
-        static_cast<std::int64_t>(sc::simd::popcount_words(gp, wpl));
-    const auto neg =
-        static_cast<std::int64_t>(sc::simd::popcount_words(gn, wpl));
-    if (stuck_faults_) {
-      // Each group's OR output feeds a 1-bit/cycle counter; the stuck
-      // column corrupts it cycle by cycle.
-      for (std::size_t c = 0; c < len_; ++c) {
-        sum.counter += fm_->apply_stuck(
-            static_cast<std::uint32_t>((gp[c >> 6] >> (c & 63)) & 1u));
-        sum.counter -= fm_->apply_stuck(
-            static_cast<std::uint32_t>((gn[c >> 6] >> (c & 63)) & 1u));
+    const std::uint64_t* gp = &groups_[static_cast<std::size_t>(g) * 2 * row];
+    const std::uint64_t* gn = gp + row;
+    sc::simd::popcount_rows(counts_.data(), gp, 2 * nch, wpl);
+    for (std::size_t c = 0; c < nch; ++c) {
+      const auto pos = static_cast<std::int64_t>(counts_[c]);
+      const auto neg = static_cast<std::int64_t>(counts_[nch + c]);
+      if (stuck_faults_) {
+        // Each group's OR output feeds a 1-bit/cycle counter; the stuck
+        // column corrupts it cycle by cycle.
+        const std::uint64_t* p = gp + c * wpl;
+        const std::uint64_t* n = gn + c * wpl;
+        for (std::size_t i = 0; i < len_; ++i) {
+          sums[c].counter += fm_->apply_stuck(
+              static_cast<std::uint32_t>((p[i >> 6] >> (i & 63)) & 1u));
+          sums[c].counter -= fm_->apply_stuck(
+              static_cast<std::uint32_t>((n[i >> 6] >> (i & 63)) & 1u));
+        }
+      } else {
+        sums[c].counter += pos - neg;
       }
-    } else {
-      sum.counter += pos - neg;
+      sums[c].atten += 1.0 - static_cast<double>(std::max(pos, neg)) * inv_len;
     }
-    sum.atten += 1.0 - static_cast<double>(std::max(pos, neg)) * inv_len;
   }
-  if (apc) sum.counter = apc->finish();
-  for (std::size_t c = 0; c < cycles_.size() / 2; ++c) {
-    sum.counter += fm_->apply_stuck(cycles_[c]);
-    sum.counter -= fm_->apply_stuck(cycles_[len_ + c]);
-  }
-  return sum;
 }
 
 namespace {
@@ -298,11 +322,12 @@ struct ScGeometry {
 // The SC forward pass shared by ScConv2d and ScLinear.
 //   weights (cout, cin, k, k);  x (nb, cin, h, w);
 //   y, atten (nb, cout, ho, wo)
-// Every output accumulates through ScAccumulator over the layer's
-// tap_layout; outputs with OR groups get the mean group attenuation, the
-// others keep 1. Fault sites follow the GeoMachine: weight slots
-// (oc*K + t) and activation buffer slots (no batch term: the same physical
-// slot misbehaves identically for every image).
+// Each window accumulates every output channel in one ScAccumulator call
+// over the layer's tap_layout and tap-major weight bank; outputs with OR
+// groups get the mean group attenuation, the others keep 1. Fault sites
+// follow the GeoMachine: weight slots (oc*K + t) and activation buffer
+// slots (no batch term: the same physical slot misbehaves identically for
+// every image).
 void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
                 const ScGeometry& g, std::span<const float> weights,
                 std::span<const float> x, int nb, std::span<float> y,
@@ -319,15 +344,16 @@ void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
   fault::FaultModel* const fm = fault::active();
   const bool use_table = sc::stream_table_enabled();
 
-  // --- weight streams (fixed for the whole batch) -------------------------
+  // --- weight streams (fixed for the whole batch), tap-major ---------------
   std::vector<std::uint64_t> wpos(weights.size() * wpl);
   std::vector<std::uint64_t> wneg(weights.size() * wpl);
   {
-    std::size_t idx = 0;
-    for (int oc = 0; oc < g.cout; ++oc)
-      for (int ic = 0; ic < g.cin; ++ic)
-        for (int ky = 0; ky < k; ++ky)
-          for (int kx = 0; kx < k; ++kx, ++idx) {
+    std::size_t t = 0;
+    for (int ic = 0; ic < g.cin; ++ic)
+      for (int ky = 0; ky < k; ++ky)
+        for (int kx = 0; kx < k; ++kx, ++t)
+          for (int oc = 0; oc < g.cout; ++oc) {
+            const std::size_t idx = static_cast<std::size_t>(oc) * K + t;
             const float w = std::clamp(weights[idx], -1.0f, 1.0f);
             std::uint32_t q = quantize_unsigned(std::abs(w), cfg.value_bits);
             if (fm != nullptr)
@@ -335,7 +361,8 @@ void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
                                 fault::FaultModel::Site::kWeightSram, idx);
             const sc::SeedSpec spec =
                 pass_spec(cfg, alloc.weight({oc, ic, ky, kx}), pass);
-            generate_layer_stream(&(w >= 0.0f ? wpos : wneg)[idx * wpl], wpl,
+            const std::size_t slot = t * g.cout + static_cast<std::size_t>(oc);
+            generate_layer_stream(&(w >= 0.0f ? wpos : wneg)[slot * wpl], wpl,
                                   len, cfg, spec, q, fm,
                                   fault::FaultModel::Site::kWeightStream, idx,
                                   use_table);
@@ -344,10 +371,12 @@ void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
 
   const int ho = (g.h + 2 * g.pad - k) / g.stride + 1;
   const int wo = (g.w + 2 * g.pad - k) / g.stride + 1;
-  const std::size_t outputs = static_cast<std::size_t>(g.cout) * ho * wo;
+  const std::size_t xy = static_cast<std::size_t>(ho) * wo;
+  const std::size_t outputs = static_cast<std::size_t>(g.cout) * xy;
   const std::size_t slots = static_cast<std::size_t>(g.cin) * g.h * g.w;
   const TapLayout layout = tap_layout(cfg.accum, g.cin, k, k, g.h, g.w);
-  ScAccumulator acc(layout, len, fm);
+  ScAccumulator acc(layout, len, g.cout, fm);
+  std::vector<ScAccumulator::Sum> sums(static_cast<std::size_t>(g.cout));
   std::vector<const std::uint64_t*> taps(static_cast<std::size_t>(K));
   std::vector<std::uint64_t> act(slots * wpl);
   const double inv_len = 1.0 / static_cast<double>(L);
@@ -368,7 +397,7 @@ void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
                             use_table);
     }
 
-    // --- MAC rows: one window's taps feed every output channel --------------
+    // --- MAC rows: one window's taps feed every output channel at once -----
     for (int oy = 0; oy < ho; ++oy)
       for (int ox = 0; ox < wo; ++ox) {
         std::size_t t = 0;
@@ -382,14 +411,13 @@ void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
                             : &act[((static_cast<std::size_t>(ic) * g.h +
                                      iy) * g.w + ix) * wpl];
             }
+        const std::size_t pos = static_cast<std::size_t>(oy) * wo + ox;
+        acc.accumulate(pos, xy, 0, K, taps.data(), wpos.data(), wneg.data(),
+                       sums);
         for (int oc = 0; oc < g.cout; ++oc) {
-          const std::size_t oidx =
-              (static_cast<std::size_t>(oc) * ho + oy) * wo + ox;
-          const std::size_t row = static_cast<std::size_t>(oc) * K * wpl;
-          const ScAccumulator::Sum s = acc.accumulate(
-              oidx, 0, K, taps.data(), &wpos[row], &wneg[row]);
-          const std::size_t out =
-              static_cast<std::size_t>(b) * outputs + oidx;
+          const ScAccumulator::Sum& s = sums[static_cast<std::size_t>(oc)];
+          const std::size_t out = static_cast<std::size_t>(b) * outputs +
+                                  static_cast<std::size_t>(oc) * xy + pos;
           if (layout.groups > 0)
             atten[out] = static_cast<float>(
                 std::max(s.atten / layout.groups, 0.05));

@@ -72,6 +72,11 @@ void generate_layer_stream(std::uint64_t* dst, std::size_t wpl,
 // is t = (ic*kh + ky)*kw + kx. Under kOr / kPbw / kPbhw tap t ORs its
 // product into OR group group[t] and the group popcounts are summed in
 // fixed point; kFxp and kApc count every product and have no groups.
+//
+// A layer's weight bank is stored tap-major to match: the stream of tap t
+// for output channel oc sits at (t*cout + oc)*wpl, so any run of channels
+// is contiguous at every tap. Fault sites stay keyed by oc*K + t, so the
+// storage order never changes a fault draw.
 struct TapLayout {
   AccumMode accum = AccumMode::kPbw;
   int taps = 0;
@@ -86,37 +91,55 @@ struct TapLayout {
 TapLayout tap_layout(AccumMode accum, int cin, int kh, int kw, int hin,
                      int win);
 
-// The per-output SC accumulation of ScConv2d, ScLinear and GeoMachine:
-// forms the products of taps [lo, hi), corrupts the accumulator-input wires
-// at sites (oidx*K + t)*2 (+1 for the negative channel), ORs them into
-// their groups or counts them directly (kFxp, or kApc through the
-// approximate parallel counter), and runs the counts through a stuck
-// counter column. Holds the working buffers, so each thread that
-// accumulates owns one; `layout` must outlive it.
+// The row-broadcast SC accumulation of ScConv2d, ScLinear and GeoMachine,
+// their one MAC inner loop. As one activation SNG feeds every MAC row in
+// GEO, one window's gathered tap streams feed a run of output channels at
+// once: for each tap of [lo, hi) the activation stream is ANDed with every
+// channel's weight stream and ORed into that channel's group (kOr / kPbw /
+// kPbhw), or the products are counted directly (kFxp, or kApc through the
+// approximate parallel counter); then each channel's pos − neg group counts
+// are summed, through the stuck counter column when one is configured.
+// Under an accumulator-input fault model each product is formed first and
+// its wires corrupted at site (oidx*K + t)*2 (+1 for the negative channel);
+// draws are keyed by site, so the tap-outer loop order is free. The mode is
+// chosen once per call, outside the tap loop. Holds the working buffers, so
+// each thread that accumulates owns one; `layout` must outlive it.
 class ScAccumulator {
  public:
-  ScAccumulator(const TapLayout& layout, std::size_t length,
+  // `cout` is the weight bank's channel count (its tap stride).
+  ScAccumulator(const TapLayout& layout, std::size_t length, int cout,
                 fault::FaultModel* fm);
+  ~ScAccumulator();
 
   struct Sum {
     std::int64_t counter = 0;  // pos - neg count
     double atten = 0.0;        // sum over groups of 1 - max(pos, neg)/length
   };
 
-  // `act[t]` is tap t's activation stream, null for a padding tap; `wpos`
-  // and `wneg` are the output channel's weight streams, tap t at t*wpl.
-  Sum accumulate(std::size_t oidx, int lo, int hi,
-                 const std::uint64_t* const* act, const std::uint64_t* wpos,
-                 const std::uint64_t* wneg);
+  // Accumulates taps [lo, hi) of one window into sums.size() consecutive
+  // output channels. `act[t]` is tap t's activation stream, null for a
+  // padding tap. `wpos` and `wneg` point at the first channel's streams in
+  // the tap-major bank (tap t at t*cout*wpl, the next channel wpl further
+  // on). Channel c of the run is output oidx + c*ostride (its fault sites)
+  // and its sum lands in sums[c].
+  void accumulate(std::size_t oidx, std::size_t ostride, int lo, int hi,
+                  const std::uint64_t* const* act, const std::uint64_t* wpos,
+                  const std::uint64_t* wneg, std::span<Sum> sums);
 
  private:
+  struct ApcState;
+
   const TapLayout& layout_;
-  std::size_t len_, wpl_;
+  std::size_t len_, wpl_, tap_stride_;
   fault::FaultModel* fm_;
   bool accum_faults_, stuck_faults_;
-  std::vector<std::uint64_t> groups_;  // groups x (pos, neg) OR unions
-  std::vector<std::uint64_t> prod_;    // product pair + APC pending pair
-  std::vector<std::uint32_t> cycles_;  // per-cycle pos/neg counts (stuck)
+  // Per-call working buffers, one row of wpl words per channel.
+  std::vector<std::uint64_t> groups_;   // groups x (pos, neg) x channels
+  std::vector<std::uint64_t> prod_;     // one tap's (pos, neg) x channels
+  std::vector<std::uint64_t> counts_;   // popcount of each (pos, neg) row
+  std::vector<std::uint64_t> pending_;  // kApc: channels x (pos, neg)
+  std::vector<ApcState> apc_;           // kApc: one per channel
+  std::vector<std::uint32_t> cycles_;   // kFxp stuck: per-cycle counts
 };
 
 // Bit-exact fixed-point reference for one convolution layer: quantizes the

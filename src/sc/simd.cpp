@@ -38,6 +38,10 @@ struct Ops {
   void (*xor_into)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*or_and_into)(std::uint64_t*, const std::uint64_t*,
                       const std::uint64_t*, std::size_t);
+  void (*or_and_rows)(std::uint64_t*, const std::uint64_t*,
+                      const std::uint64_t*, std::size_t, std::size_t);
+  void (*popcount_rows)(std::uint64_t*, const std::uint64_t*, std::size_t,
+                        std::size_t);
 };
 
 // ------------------------------------------------------------ scalar
@@ -94,8 +98,21 @@ void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
   for (std::size_t i = 0; i < n; ++i) dst[i] |= a[i] & b[i];
 }
 
-constexpr Ops kOps = {popcount, and_popcount, or_popcount, mac_popcount,
-                      and_into, or_into, xor_into, or_and_into};
+void or_and_rows(std::uint64_t* dst, const std::uint64_t* a,
+                 const std::uint64_t* w, std::size_t rows, std::size_t wpl) {
+  for (std::size_t r = 0; r < rows; ++r, dst += wpl, w += wpl)
+    for (std::size_t i = 0; i < wpl; ++i) dst[i] |= a[i] & w[i];
+}
+
+void popcount_rows(std::uint64_t* out, const std::uint64_t* w,
+                   std::size_t rows, std::size_t wpl) {
+  for (std::size_t r = 0; r < rows; ++r, w += wpl) out[r] = popcount(w, wpl);
+}
+
+constexpr Ops kOps = {popcount,      and_popcount, or_popcount,
+                      mac_popcount,  and_into,     or_into,
+                      xor_into,      or_and_into,  or_and_rows,
+                      popcount_rows};
 
 }  // namespace scalar
 
@@ -266,8 +283,63 @@ __attribute__((target("avx2"))) void or_and_into(std::uint64_t* dst,
   for (; i < n; ++i) dst[i] |= a[i] & b[i];
 }
 
-constexpr Ops kOps = {popcount, and_popcount, or_popcount, mac_popcount,
-                      and_into, or_into, xor_into, or_and_into};
+// One-word rows take four rows per vector against a broadcast word,
+// two-word rows two rows against a broadcast pair; longer rows run the
+// one-row kernel per row. The rows left over fall to the scalar reference.
+__attribute__((target("avx2"))) void or_and_rows(std::uint64_t* dst,
+                                                 const std::uint64_t* a,
+                                                 const std::uint64_t* w,
+                                                 std::size_t rows,
+                                                 std::size_t wpl) {
+  if (wpl == 0 || wpl > 2) {
+    for (std::size_t r = 0; r < rows; ++r)
+      or_and_into(dst + r * wpl, a, w + r * wpl, wpl);
+    return;
+  }
+  const __m256i act =
+      wpl == 1 ? _mm256_set1_epi64x(static_cast<long long>(a[0]))
+               : _mm256_broadcastsi128_si256(
+                     _mm_loadu_si128(reinterpret_cast<const __m128i*>(a)));
+  const std::size_t n = rows * wpl;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_or_si256(loadu(dst + i), _mm256_and_si256(act, loadu(w + i))));
+  scalar::or_and_rows(dst + i, a, w + i, (n - i) / wpl, wpl);
+}
+
+// Per-row counts straight from the SAD partials: a one-word row is one
+// 64-bit lane, a two-word row the sum of a lane pair.
+__attribute__((target("avx2"))) void popcount_rows(std::uint64_t* out,
+                                                   const std::uint64_t* w,
+                                                   std::size_t rows,
+                                                   std::size_t wpl) {
+  if (wpl == 0 || wpl > 2) {
+    for (std::size_t r = 0; r < rows; ++r) out[r] = popcount(w + r * wpl, wpl);
+    return;
+  }
+  const std::size_t n = rows * wpl;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i c = _mm256_sad_epu8(nibble_counts(loadu(w + i)),
+                                _mm256_setzero_si256());
+    if (wpl == 1) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), c);
+    } else {
+      alignas(32) std::uint64_t lanes[4];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), c);
+      out[i / 2] = lanes[0] + lanes[1];
+      out[i / 2 + 1] = lanes[2] + lanes[3];
+    }
+  }
+  scalar::popcount_rows(out + i / wpl, w + i, (n - i) / wpl, wpl);
+}
+
+constexpr Ops kOps = {popcount,      and_popcount, or_popcount,
+                      mac_popcount,  and_into,     or_into,
+                      xor_into,      or_and_into,  or_and_rows,
+                      popcount_rows};
 
 }  // namespace avx2
 
@@ -370,8 +442,44 @@ void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
   for (; i < n; ++i) dst[i] |= a[i] & b[i];
 }
 
-constexpr Ops kOps = {popcount, and_popcount, or_popcount, mac_popcount,
-                      and_into, or_into, xor_into, or_and_into};
+// One-word rows take two rows per vector against a broadcast word;
+// longer rows run the one-row kernel per row.
+void or_and_rows(std::uint64_t* dst, const std::uint64_t* a,
+                 const std::uint64_t* w, std::size_t rows, std::size_t wpl) {
+  if (wpl != 1) {
+    for (std::size_t r = 0; r < rows; ++r)
+      or_and_into(dst + r * wpl, a, w + r * wpl, wpl);
+    return;
+  }
+  const uint64x2_t act = vdupq_n_u64(a[0]);
+  std::size_t r = 0;
+  for (; r + 2 <= rows; r += 2)
+    vst1q_u64(dst + r, vorrq_u64(vld1q_u64(dst + r),
+                                 vandq_u64(act, vld1q_u64(w + r))));
+  for (; r < rows; ++r) dst[r] |= a[0] & w[r];
+}
+
+// One-word rows: the pairwise-widen chain stops at one count per 64-bit
+// lane, i.e. per row.
+void popcount_rows(std::uint64_t* out, const std::uint64_t* w,
+                   std::size_t rows, std::size_t wpl) {
+  if (wpl != 1) {
+    for (std::size_t r = 0; r < rows; ++r) out[r] = popcount(w + r * wpl, wpl);
+    return;
+  }
+  std::size_t r = 0;
+  for (; r + 2 <= rows; r += 2)
+    vst1q_u64(out + r,
+              vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(
+                  vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(w + r)))))));
+  for (; r < rows; ++r)
+    out[r] = static_cast<std::uint64_t>(std::popcount(w[r]));
+}
+
+constexpr Ops kOps = {popcount,      and_popcount, or_popcount,
+                      mac_popcount,  and_into,     or_into,
+                      xor_into,      or_and_into,  or_and_rows,
+                      popcount_rows};
 
 }  // namespace neon
 
@@ -532,6 +640,17 @@ void xor_into(std::uint64_t* dst, const std::uint64_t* src,
 void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
                  const std::uint64_t* b, std::size_t n) noexcept {
   ops().or_and_into(dst, a, b, n);
+}
+
+void or_and_rows(std::uint64_t* dst, const std::uint64_t* a,
+                 const std::uint64_t* w, std::size_t rows,
+                 std::size_t wpl) noexcept {
+  ops().or_and_rows(dst, a, w, rows, wpl);
+}
+
+void popcount_rows(std::uint64_t* out, const std::uint64_t* w,
+                   std::size_t rows, std::size_t wpl) noexcept {
+  ops().popcount_rows(out, w, rows, wpl);
 }
 
 ScopedSimdBackend::ScopedSimdBackend(Backend backend) : previous_(active()) {

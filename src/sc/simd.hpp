@@ -4,7 +4,8 @@
 // the nn reference share, sc::ops, the parallel counters, and the
 // correlation statistics — reduces to a handful of word-parallel kernels
 // over packed 64-bit stream words: AND-popcount MAC reduction, OR/XOR/AND
-// block ops, and fused OR-accumulate-of-products. This header is the one
+// block ops, fused OR-accumulate-of-products, and the row kernels of the
+// row-broadcast MAC (one stream against many rows). This header is the one
 // dispatch point for those kernels: an AVX2 backend (x86-64), a NEON
 // backend (aarch64), and a scalar fallback that is the reference
 // implementation everywhere else.
@@ -75,6 +76,24 @@ void xor_into(std::uint64_t* dst, const std::uint64_t* src,
 // into its group accumulator, fused so the product is never materialized.
 void or_and_into(std::uint64_t* dst, const std::uint64_t* a,
                  const std::uint64_t* b, std::size_t n) noexcept;
+
+// ---- row kernels ---------------------------------------------------------
+//
+// `rows` streams of `wpl` words each, stored back to back (row r at r*wpl).
+// They serve the row-broadcast MAC of the shared SC accumulation core: one
+// activation stream feeds every output channel of a tile, as one activation
+// SNG feeds every MAC row in GEO.
+
+// dst[r] |= a & w[r] for every row: the broadcast operand `a` (wpl words)
+// is ANDed with each weight row and ORed into that row's accumulator.
+void or_and_rows(std::uint64_t* dst, const std::uint64_t* a,
+                 const std::uint64_t* w, std::size_t rows,
+                 std::size_t wpl) noexcept;
+
+// out[r] = popcount(w[r]) for every row — the per-channel counts whose
+// pos − neg difference is an output's counter.
+void popcount_rows(std::uint64_t* out, const std::uint64_t* w,
+                   std::size_t rows, std::size_t wpl) noexcept;
 
 // ---- test hook -----------------------------------------------------------
 

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 namespace geo::nn {
 namespace {
@@ -41,6 +45,100 @@ TEST(ScLayerConfig, LfsrBitsMatchStreamLength) {
   EXPECT_EQ(cfg(AccumMode::kPbw, 32).lfsr_bits(), 5u);
   EXPECT_EQ(cfg(AccumMode::kPbw, 128).lfsr_bits(), 7u);
   EXPECT_THROW(cfg(AccumMode::kPbw, 100).lfsr_bits(), std::invalid_argument);
+}
+
+// ScAccumulator against a bit-serial oracle. The machine and the nn layers
+// share the kernel, so their differential test cannot see a bug in it; this
+// one recomputes each channel cycle by cycle: AND every tap's activation bit
+// with the channel's weight bit, OR the products per group (or, under kFxp,
+// count each one), then count. The run starts mid-bank (channel 2 of
+// nch + 3), the tap range [lo, hi) starts past 0, and every fourth tap is
+// padding.
+TEST(ScAccumulator, MatchesBitSerialOracle) {
+  struct Geometry {
+    int cin, k, hw;  // hw = 1 with k = 1 is a fully-connected layer
+  };
+  for (const AccumMode mode : {AccumMode::kOr, AccumMode::kPbw,
+                               AccumMode::kPbhw, AccumMode::kFxp})
+    for (const Geometry g : {Geometry{2, 3, 5}, Geometry{40, 1, 1}})
+      for (const std::size_t len : {std::size_t{64}, std::size_t{100}})
+        for (const int nch : {1, 5, 64, 65}) {
+          const TapLayout layout = tap_layout(mode, g.cin, g.k, g.k, g.hw, g.hw);
+          const int K = layout.taps;
+          const int cout = nch + 3;
+          const int c0 = 2;
+          const std::size_t wpl = (len + 63) / 64;
+          std::mt19937_64 rng(len * 131 + static_cast<std::size_t>(nch));
+          // Random streams, zero past `len` like every generated stream.
+          auto fill = [&](std::vector<std::uint64_t>& v) {
+            for (std::size_t i = 0; i < v.size(); ++i) {
+              v[i] = rng() & rng();
+              const std::size_t bit0 = i % wpl * 64;
+              if (bit0 + 64 > len) v[i] &= (1ull << (len - bit0)) - 1;
+            }
+          };
+          std::vector<std::uint64_t> act(static_cast<std::size_t>(K) * wpl);
+          std::vector<std::uint64_t> wpos(act.size() * cout), wneg(wpos.size());
+          fill(act);
+          fill(wpos);
+          fill(wneg);
+          std::vector<const std::uint64_t*> taps(static_cast<std::size_t>(K));
+          for (int t = 0; t < K; ++t)
+            taps[static_cast<std::size_t>(t)] =
+                t % 4 == 1 ? nullptr : &act[static_cast<std::size_t>(t) * wpl];
+          const int lo = 3, hi = K - 2;
+
+          ScAccumulator acc(layout, len, cout, nullptr);
+          std::vector<ScAccumulator::Sum> sums(static_cast<std::size_t>(nch));
+          acc.accumulate(0, 1, lo, hi, taps.data(), &wpos[c0 * wpl],
+                         &wneg[c0 * wpl], sums);
+
+          auto bit = [](const std::uint64_t* s, std::size_t i) {
+            return static_cast<int>((s[i >> 6] >> (i & 63)) & 1u);
+          };
+          const auto groups = static_cast<std::size_t>(layout.groups);
+          for (int c = 0; c < nch; ++c) {
+            const auto ch = static_cast<std::size_t>(c0 + c);
+            std::int64_t counter = 0;
+            std::vector<std::int64_t> pos(groups), neg(groups);
+            for (std::size_t i = 0; i < len; ++i) {
+              std::vector<int> up(groups), un(groups);
+              for (int t = lo; t < hi; ++t) {
+                const std::uint64_t* a = taps[static_cast<std::size_t>(t)];
+                if (a == nullptr) continue;
+                const std::size_t w =
+                    (static_cast<std::size_t>(t) * cout + ch) * wpl;
+                const int p = bit(a, i) & bit(&wpos[w], i);
+                const int n = bit(a, i) & bit(&wneg[w], i);
+                if (groups == 0) {
+                  counter += p - n;
+                  continue;
+                }
+                const auto gi = static_cast<std::size_t>(
+                    layout.group[static_cast<std::size_t>(t)]);
+                up[gi] |= p;
+                un[gi] |= n;
+              }
+              for (std::size_t gi = 0; gi < groups; ++gi) {
+                pos[gi] += up[gi];
+                neg[gi] += un[gi];
+              }
+            }
+            double atten = 0.0;
+            for (std::size_t gi = 0; gi < groups; ++gi) {
+              counter += pos[gi] - neg[gi];
+              atten += 1.0 - static_cast<double>(std::max(pos[gi], neg[gi])) /
+                                 static_cast<double>(len);
+            }
+            const ScAccumulator::Sum& s = sums[static_cast<std::size_t>(c)];
+            EXPECT_EQ(s.counter, counter)
+                << to_string(mode) << " K=" << K << " len=" << len
+                << " nch=" << nch << " channel " << c;
+            EXPECT_DOUBLE_EQ(s.atten, atten)
+                << to_string(mode) << " K=" << K << " len=" << len
+                << " nch=" << nch << " channel " << c;
+          }
+        }
 }
 
 TEST(ScConv2d, FxpAccumulationApproximatesFloatConv) {

@@ -108,6 +108,43 @@ TEST(SimdKernels, BlockOpParityAcrossBackends) {
   }
 }
 
+// The row kernels of the row-broadcast MAC: channel counts around the AVX2
+// (4 one-word rows, 2 two-word rows) and NEON (2 rows) vector widths, and
+// row widths on each side of the vectorized one- and two-word cases.
+TEST(SimdKernels, RowKernelParityAcrossBackends) {
+  for (const std::size_t rows : {0, 1, 3, 4, 5, 63, 64, 65}) {
+    for (const std::size_t wpl : {1, 2, 4}) {
+      const std::size_t n = rows * wpl;
+      const auto base = random_words(n, 101 + n + wpl);
+      const auto w = random_words(n, 211 + n + wpl);
+      const auto a = random_words(wpl, 307 + wpl);
+
+      std::vector<std::uint64_t> ref_or_and(n), ref_pop(rows);
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t i = 0; i < wpl; ++i) {
+          const std::size_t k = r * wpl + i;
+          ref_or_and[k] = base[k] | (a[i] & w[k]);
+          ref_pop[r] += static_cast<std::uint64_t>(std::popcount(w[k]));
+        }
+
+      for (const Backend b : backends_under_test()) {
+        ScopedSimdBackend scope(b);
+        auto dst = base;
+        or_and_rows(dst.data(), a.data(), w.data(), rows, wpl);
+        EXPECT_EQ(dst, ref_or_and)
+            << to_string(b) << " rows=" << rows << " wpl=" << wpl;
+        // One slot past the rows catches a store beyond the last count.
+        std::vector<std::uint64_t> pop(rows + 1, 0xdeadbeefull);
+        popcount_rows(pop.data(), w.data(), rows, wpl);
+        EXPECT_EQ(pop.back(), 0xdeadbeefull) << to_string(b);
+        pop.pop_back();
+        EXPECT_EQ(pop, ref_pop)
+            << to_string(b) << " rows=" << rows << " wpl=" << wpl;
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, MacEqualsSplitAndPopcounts) {
   // The fused signed MAC must equal its two-call decomposition on every
   // backend (one pass over `a` is an optimization, not a semantic change).
