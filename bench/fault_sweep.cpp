@@ -292,9 +292,7 @@ int main() {
         // A degraded-to-reference layer must be bit-exact against the
         // fault-free fixed-point reference — "no garbage outputs".
         const auto ref = geo::nn::fxp_reference_counters(
-            wl.shape.cin, wl.shape.hin, wl.shape.win, wl.shape.cout,
-            wl.shape.kh, wl.shape.kw, wl.shape.stride, wl.shape.pad,
-            wl.weights, wl.input, cfg.value_bits, cfg.stream_len);
+            wl.shape, wl.weights, wl.input, cfg.value_bits, cfg.stream_len);
         if (ref != result->counters) within_envelope = false;
       }
     }

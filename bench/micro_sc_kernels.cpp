@@ -153,7 +153,8 @@ void BM_RowBroadcastMac(benchmark::State& state) {
   const int slices = static_cast<int>(state.range(2));
   constexpr int kCout = 32;
   constexpr std::size_t kLen = 64, kWpl = 1;
-  const TapLayout layout = tap_layout(AccumMode::kPbw, cin, 5, 5, hw, hw);
+  const TapLayout layout =
+      tap_layout(AccumMode::kPbw, ScShape{cin, hw, hw, kCout, 5, 5, 1, 0});
   const int K = layout.taps;
   std::mt19937_64 rng(11);
   // Random operands: activations ~1/2 dense, weights ~1/4 dense, each weight

@@ -12,28 +12,15 @@
 
 namespace geo::arch {
 
-// One network layer at paper scale (FC layers are 1x1 convs over a 1x1 map).
-struct ConvShape {
+// One network layer at paper scale (FC layers are 1x1 convs over a 1x1 map):
+// the SC layer shape, whose output-size rule the machine and the nn
+// reference share, plus what the compiler schedules by.
+struct ConvShape : nn::ScShape {
   std::string name;
-  int cin = 1, hin = 1, win = 1;
-  int cout = 1, kh = 1, kw = 1;
-  int stride = 1, pad = 0;
   bool pool = false;    // followed by 2x2 average pooling (computation skip)
   bool output = false;  // network output layer (always 128-bit streams)
 
-  int hout() const { return (hin + 2 * pad - kh) / stride + 1; }
-  int wout() const { return (win + 2 * pad - kw) / stride + 1; }
-  int taps() const { return cin * kh * kw; }
-  std::int64_t outputs() const {
-    return static_cast<std::int64_t>(cout) * hout() * wout();
-  }
   std::int64_t macs() const { return outputs() * taps(); }
-  std::int64_t weights() const {
-    return static_cast<std::int64_t>(cout) * taps();
-  }
-  std::int64_t activations() const {
-    return static_cast<std::int64_t>(cin) * hin * win;
-  }
 
   static ConvShape conv(std::string name, int cin, int hw, int cout,
                         int kernel, int pad, bool pool);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cmath>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -13,10 +12,8 @@
 #include "arch/attribution.hpp"
 #include "arch/perf_sim.hpp"
 #include "exec/parallel_conv.hpp"
-#include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/quantize.hpp"
-#include "sc/seed_sharing.hpp"
 #include "sc/stream_table.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -58,17 +55,15 @@ struct ConvExecution::Impl {
   // run's ledger carries them, a rebound one included.
   std::int64_t weight_retry = 0;
 
-  int L = 0;
   std::size_t wpl = 0;
-  int K = 0, wo = 0;
-  std::int64_t outputs = 0, xy = 0, M = 0;
+  std::int64_t xy = 0, M = 0;
   int R = 0, chans_at_once = 0, windows_per_pass = 0, slices = 0;
   nn::TapLayout layout;
   // GEO_STREAM_TABLE, sampled once per layer so a run's generation strategy
   // is coherent even if the environment changes mid-layer.
   bool use_stream_table = true;
 
-  std::optional<sc::SeedAllocator> alloc;
+  std::optional<nn::LayerSeeds> seeds;
   std::vector<std::uint64_t> wpos, wneg, act;
   // Lazy activation-stream cache flags: 0 = empty, 1 = being generated,
   // 2 = ready. Atomic so concurrent tiles claim generation exactly once
@@ -91,8 +86,6 @@ struct ConvExecution::Impl {
 
   const std::uint64_t* act_stream(std::size_t idx);
   template <typename Fn>
-  void for_each_window_tap(std::int64_t pos, int lo, int hi, Fn&& fn) const;
-  template <typename Fn>
   void for_each_tile_input(std::int64_t tile, Fn&& fn) const;
   MachineStats run_tile(std::int64_t tile);
   MachineResult finish();
@@ -107,16 +100,8 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
       if (flag.compare_exchange_strong(expected, 1,
                                        std::memory_order_acq_rel)) {
         act_gen_counter->add(1);
-        const float a = std::clamp(input[idx], 0.0f, 1.0f);
-        std::uint32_t q = nn::quantize_unsigned(a, cfg.value_bits);
-        if (fm != nullptr)
-          q = fm->sram_read(q, cfg.value_bits,
-                            fault::FaultModel::Site::kActSram, idx);
-        nn::generate_layer_stream(act.data() + idx * wpl, wpl,
-                                  static_cast<std::size_t>(L), cfg,
-                                  alloc->activation(static_cast<int>(idx)), q,
-                                  fm, fault::FaultModel::Site::kActStream, idx,
-                                  use_stream_table);
+        nn::generate_activation_stream(act.data() + idx * wpl, cfg, *seeds,
+                                       idx, input[idx], fm, use_stream_table);
         flag.store(2, std::memory_order_release);
         flag.notify_all();
         break;
@@ -141,32 +126,6 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
   return act.data() + idx * wpl;
 }
 
-// Calls fn(t, aidx) for every tap t in [lo, hi) of output window `pos`
-// that reads activation slot aidx; padding taps are skipped.
-template <typename Fn>
-void ConvExecution::Impl::for_each_window_tap(std::int64_t pos, int lo,
-                                              int hi, Fn&& fn) const {
-  const int y0 = static_cast<int>(pos) / wo * shape.stride - shape.pad;
-  const int x0 = static_cast<int>(pos) % wo * shape.stride - shape.pad;
-  // (ic, ky, kx) of tap t, stepped with t instead of divided out per tap.
-  int kx = lo % shape.kw;
-  int ky = lo / shape.kw % shape.kh;
-  int ic = lo / (shape.kw * shape.kh);
-  for (int t = lo; t < hi; ++t) {
-    const int iy = y0 + ky;
-    const int ix = x0 + kx;
-    if (iy >= 0 && iy < shape.hin && ix >= 0 && ix < shape.win)
-      fn(t, (static_cast<std::size_t>(ic) * shape.hin + iy) * shape.win + ix);
-    if (++kx == shape.kw) {
-      kx = 0;
-      if (++ky == shape.kh) {
-        ky = 0;
-        ++ic;
-      }
-    }
-  }
-}
-
 // Enumerates the activation-stream slots feeding `tile` (with repeats:
 // windows overlap). Shared by invalidation and tile_inputs.
 template <typename Fn>
@@ -176,8 +135,9 @@ void ConvExecution::Impl::for_each_tile_input(std::int64_t tile,
   for (int wslot = 0; wslot < windows_per_pass; ++wslot) {
     const std::int64_t pos = wg * windows_per_pass + wslot;
     if (pos >= xy) break;
-    for_each_window_tap(pos, 0, K,
-                        [&fn](int, std::size_t aidx) { fn(aidx); });
+    nn::for_each_window_tap(shape, static_cast<std::size_t>(pos), 0,
+                            shape.taps(),
+                            [&fn](int, std::size_t aidx) { fn(aidx); });
   }
 }
 
@@ -191,13 +151,15 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
   // The accumulator's working buffers are per run: concurrent tiles must not
   // share them. The tile's rows are channels [c0, c0 + nch), contiguous at
   // every tap of the tap-major bank.
-  nn::ScAccumulator acc(layout, static_cast<std::size_t>(L), shape.cout, fm);
+  nn::ScAccumulator acc(layout, static_cast<std::size_t>(cfg.stream_len),
+                        shape.cout, fm);
   const int c0 = cg * R;
   std::vector<nn::ScAccumulator::Sum> sums(
       static_cast<std::size_t>(std::min(chans_at_once, shape.cout - c0)));
   const std::uint64_t* row_pos = &wpos[static_cast<std::size_t>(c0) * wpl];
   const std::uint64_t* row_neg = &wneg[static_cast<std::size_t>(c0) * wpl];
-  std::vector<const std::uint64_t*> taps(static_cast<std::size_t>(K));
+  std::vector<const std::uint64_t*> taps(
+      static_cast<std::size_t>(shape.taps()));
 
   for (int p = 0; p < slices; ++p) {
     telemetry::ScopedTimer pass_timer(
@@ -221,16 +183,16 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
                                      "machine");
     const int tap_lo = static_cast<int>(p * M);
     const int tap_hi = static_cast<int>(
-        std::min<std::int64_t>(K, (p + 1) * M));
+        std::min<std::int64_t>(shape.taps(), (p + 1) * M));
     for (int wslot = 0; wslot < windows_per_pass; ++wslot) {
       const std::int64_t pos = wg * windows_per_pass + wslot;
       if (pos >= xy) break;
       std::fill(taps.begin() + tap_lo, taps.begin() + tap_hi, nullptr);
-      for_each_window_tap(pos, tap_lo, tap_hi,
-                          [&](int t, std::size_t aidx) {
-                            taps[static_cast<std::size_t>(t)] =
-                                act_stream(aidx);
-                          });
+      nn::for_each_window_tap(shape, static_cast<std::size_t>(pos), tap_lo,
+                              tap_hi, [&](int t, std::size_t aidx) {
+                                taps[static_cast<std::size_t>(t)] =
+                                    act_stream(aidx);
+                              });
       const std::size_t oidx = static_cast<std::size_t>(c0) * xy +
                                static_cast<std::size_t>(pos);
       acc.accumulate(oidx, static_cast<std::size_t>(xy), tap_lo, tap_hi,
@@ -271,9 +233,9 @@ MachineResult ConvExecution::Impl::finish() {
   // ---- near-memory BN + bounded ReLU + write-back ------------------------
   {
     telemetry::ScopedTimer bn_timer("machine.bn_relu", "machine");
-    apply_bn_relu(result.counters, bn_scale, bn_shift, L, xy,
+    apply_bn_relu(result.counters, bn_scale, bn_shift, cfg.stream_len, xy,
                   result.activations);
-    if (hw.near_memory) st.bn_ops += static_cast<std::int64_t>(outputs);
+    if (hw.near_memory) st.bn_ops += shape.outputs();
   }
 
   const double lanes = std::max(1, hw.mem_port_bits / 16);
@@ -419,13 +381,14 @@ geo::Status ConvExecution::rebind_input(std::span<const float> input) {
         std::to_string(im.shape.activations()));
   im.input = input;
   // Empty the lazy activation cache: every slot regenerates from the new
-  // input on first use. The buffers themselves are kept
-  // (nn::generate_layer_stream zero-fills its destination before writing),
-  // so a rebind allocates only the per-run result vectors.
+  // input on first use. The buffers themselves are kept (stream generation
+  // zero-fills its destination before writing), so a rebind allocates only
+  // the per-run result vectors.
   for (std::size_t i = 0; i < input.size(); ++i)
     im.act_ready[i].store(0, std::memory_order_relaxed);
-  im.result.counters.assign(static_cast<std::size_t>(im.outputs), 0);
-  im.result.activations.assign(static_cast<std::size_t>(im.outputs), 0);
+  const auto outputs = static_cast<std::size_t>(im.shape.outputs());
+  im.result.counters.assign(outputs, 0);
+  im.result.activations.assign(outputs, 0);
   im.result.stats = MachineStats{};
   // Re-baseline the ECC retry charge: this run's finish() charges the
   // weight reads' retries plus those its own activation reads incur, not
@@ -556,57 +519,18 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->use_stream_table = sc::stream_table_enabled();
 
   const nn::ScLayerConfig& cfg = impl->cfg;
-  impl->L = cfg.stream_len;
-  impl->wpl = static_cast<std::size_t>((impl->L + 63) / 64);
-  const unsigned n = cfg.lfsr_bits();
-  impl->K = shape.taps();
-  impl->wo = shape.wout();
-  impl->outputs = shape.outputs();
-  impl->xy = static_cast<std::int64_t>(shape.hout()) * impl->wo;
-
-  const sc::KernelExtents ext{shape.cout, shape.cin, shape.kh, shape.kw};
-  impl->alloc.emplace(cfg.sharing, n, ext, layer_salt);
+  impl->wpl = static_cast<std::size_t>((cfg.stream_len + 63) / 64);
+  impl->xy = static_cast<std::int64_t>(shape.hout()) * shape.wout();
+  impl->seeds.emplace(cfg, shape);
   fault::FaultModel* const fm = impl->fm;
-  const std::size_t wpl = impl->wpl;
-  const int L = impl->L;
 
   // ---- weight memory -> weight SNG streams (whole filter bank) ----------
-  // Stored tap-major (nn::TapLayout): stream s = t*cout + oc. The fan-out
-  // runs in storage order, so each lane writes one contiguous range.
-  impl->wpos.assign(weights.size() * wpl, 0);
-  impl->wneg.assign(weights.size() * wpl, 0);
   {
     telemetry::ScopedTimer t("machine.weight_streams", "machine",
                              {{"streams", static_cast<double>(
                                    weights.size())}});
-    // Each stream writes a disjoint slice of wpos/wneg and every fault site
-    // (keyed by the weight's index oc*K + t) is touched exactly once, so the
-    // fan-out is order-independent — byte-identical to a serial loop at any
-    // thread count.
-    const std::int64_t kw = shape.kw, kh = shape.kh, cout = shape.cout;
-    const std::int64_t K = impl->K;
-    exec::parallel_for(
-        static_cast<std::int64_t>(weights.size()), [&](std::int64_t s) {
-          const std::int64_t tap = s / cout;
-          const int oc = static_cast<int>(s % cout);
-          const int kx = static_cast<int>(tap % kw);
-          const int ky = static_cast<int>((tap / kw) % kh);
-          const int ic = static_cast<int>(tap / (kw * kh));
-          const std::size_t idx = static_cast<std::size_t>(oc * K + tap);
-          const float w = std::clamp(weights[idx], -1.0f, 1.0f);
-          std::uint32_t q =
-              nn::quantize_unsigned(std::abs(w), cfg.value_bits);
-          if (fm != nullptr)
-            q = fm->sram_read(q, cfg.value_bits,
-                              fault::FaultModel::Site::kWeightSram, idx);
-          const sc::SeedSpec spec = impl->alloc->weight({oc, ic, ky, kx});
-          nn::generate_layer_stream(
-              (w >= 0.0f ? &impl->wpos : &impl->wneg)->data() +
-                  static_cast<std::size_t>(s) * wpl,
-              wpl, static_cast<std::size_t>(L), cfg, spec, q, fm,
-              fault::FaultModel::Site::kWeightStream, idx,
-              impl->use_stream_table);
-        });
+    nn::generate_weight_bank(cfg, shape, *impl->seeds, weights, fm,
+                             impl->use_stream_table, impl->wpos, impl->wneg);
   }
   if (fm != nullptr)
     impl->weight_retry = fm->stats().sram_retry_cycles - impl->fault_retry0;
@@ -614,14 +538,15 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   // ---- activation streams, generated lazily per buffer slot -------------
   auto& metrics = telemetry::MetricsRegistry::instance();
   impl->act_gen_counter = &metrics.counter("machine.act_streams_generated");
-  impl->act.assign(input.size() * wpl, 0);
+  impl->act.assign(input.size() * impl->wpl, 0);
   impl->act_ready =
       std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
   for (std::size_t i = 0; i < input.size(); ++i)
     impl->act_ready[i].store(0, std::memory_order_relaxed);
 
-  impl->result.counters.assign(static_cast<std::size_t>(impl->outputs), 0);
-  impl->result.activations.assign(static_cast<std::size_t>(impl->outputs), 0);
+  impl->result.counters.assign(static_cast<std::size_t>(shape.outputs()), 0);
+  impl->result.activations.assign(static_cast<std::size_t>(shape.outputs()),
+                                  0);
 
   // ---- pass schedule ------------------------------------------------------
   impl->R = hw_.rows;
@@ -630,8 +555,7 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->slices = impl->plan.kernel_slices;
   impl->M = hw_.macs_per_row;
 
-  impl->layout = nn::tap_layout(cfg.accum, shape.cin, shape.kh, shape.kw,
-                                shape.hin, shape.win);
+  impl->layout = nn::tap_layout(cfg.accum, shape);
 
   impl->pass_hist = &metrics.histogram("machine.pass");
   impl->mac_hist = &metrics.histogram("machine.mac_rows");

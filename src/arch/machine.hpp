@@ -12,14 +12,15 @@
 // batch-norm + bounded ReLU before writing activations back.
 //
 // Functional contract (tested): the pre-BN output counts equal what the
-// nn::ScConv2d / nn::ScLinear reference computes for the same
-// configuration, seed layout and quantized operands on every layer whose OR
-// groups fit in one kernel slice. Both store the weight bank tap-major and
-// run nn::ScAccumulator over nn::tap_layout: per window and kernel slice,
-// one call broadcasts the gathered activation streams to every row of the
-// tile's channel group, as GEO's activation SNGs feed all MAC rows. Rows
-// and windows never change the arithmetic, and a kernel slice only splits
-// a group that spans it.
+// nn::ScConv2d / nn::ScLinear reference computes in its first forward pass,
+// under every generator (LFSR and TRNG alike), on every layer whose OR
+// groups fit in one kernel slice. Both run the SC front end and core of
+// nn/sc_layers.hpp: nn::LayerSeeds (pass 0), the weight-bank and
+// activation-stream generators, nn::for_each_window_tap, nn::tap_layout and
+// nn::ScAccumulator, which per window and kernel slice broadcasts the
+// gathered activation streams to every row of the tile's channel group, as
+// GEO's activation SNGs feed all MAC rows. Rows and windows never change
+// the arithmetic; a kernel slice splits any group that spans it.
 #pragma once
 
 #include <cstdint>

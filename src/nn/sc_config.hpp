@@ -20,6 +20,29 @@ enum class AccumMode {
 
 const char* to_string(AccumMode mode) noexcept;
 
+// Shape of one SC layer as a convolution: input (cin, hin, win), filter bank
+// (cout, cin, kh, kw). A fully-connected layer is a 1x1 convolution on a 1x1
+// input. hout()/wout() are the SC path's one output-size rule;
+// arch::ConvShape extends this shape, so the machine uses it too.
+struct ScShape {
+  int cin = 1, hin = 1, win = 1;
+  int cout = 1, kh = 1, kw = 1;
+  int stride = 1, pad = 0;
+
+  int hout() const { return (hin + 2 * pad - kh) / stride + 1; }
+  int wout() const { return (win + 2 * pad - kw) / stride + 1; }
+  int taps() const { return cin * kh * kw; }
+  std::int64_t outputs() const {
+    return static_cast<std::int64_t>(cout) * hout() * wout();
+  }
+  std::int64_t weights() const {
+    return static_cast<std::int64_t>(cout) * taps();
+  }
+  std::int64_t activations() const {
+    return static_cast<std::int64_t>(cin) * hin * win;
+  }
+};
+
 // OR-group fan-in of a fully-connected layer under partial-binary
 // accumulation: each group of kFcGroup inputs is ORed, and the groups are
 // summed in fixed point.

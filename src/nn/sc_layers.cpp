@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/env.hpp"
+#include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/quantize.hpp"
 #include "sc/progressive.hpp"
@@ -66,14 +67,26 @@ ScLayerConfig ScLayerConfig::from_model(const ScModelConfig& model,
   return cfg;
 }
 
-void generate_layer_stream(std::uint64_t* dst, std::size_t wpl,
-                           std::size_t length, const ScLayerConfig& cfg,
-                           sc::SeedSpec spec, std::uint32_t q,
-                           fault::FaultModel* fm,
-                           fault::FaultModel::Site domain, std::uint64_t site,
+namespace {
+
+// Generates the stream of magnitude `v` (in [0, 1]) into `dst`: quantized to
+// value_bits, read through SRAM `sram` and generated into buffer `buf`, both
+// at fault site `site`. The seed is corrupted before the stream-table cache
+// is keyed, so a seed-upset stream is served from the corrupted sequence's
+// table, never the healthy one.
+void generate_layer_stream(std::uint64_t* dst, const ScLayerConfig& cfg,
+                           sc::SeedSpec spec, float v, fault::FaultModel* fm,
+                           fault::FaultModel::Site sram,
+                           fault::FaultModel::Site buf, std::uint64_t site,
                            bool use_table) {
+  const auto length = static_cast<std::size_t>(cfg.stream_len);
+  const std::size_t wpl = (length + 63) / 64;
+  std::uint32_t q = quantize_unsigned(v, cfg.value_bits);
+  if (fm != nullptr) {
+    q = fm->sram_read(q, cfg.value_bits, sram, site);
+    spec = fm->corrupt_seed(spec, site);
+  }
   std::fill(dst, dst + wpl, 0);
-  if (fm != nullptr) spec = fm->corrupt_seed(spec, site);
   if (q != 0) {
     const unsigned n = spec.bits;
     sc::StreamGenerator& gen = sc::StreamGenerator::local();
@@ -91,7 +104,60 @@ void generate_layer_stream(std::uint64_t* dst, std::size_t wpl,
     }
   }
   // A defective buffer cell flips bits even in an all-zero stream.
-  if (fm != nullptr) fm->corrupt_stream(dst, length, domain, site);
+  if (fm != nullptr) fm->corrupt_stream(dst, length, buf, site);
+}
+
+}  // namespace
+
+LayerSeeds::LayerSeeds(const ScLayerConfig& cfg, const ScShape& shape,
+                       std::uint64_t pass)
+    : alloc_(cfg.sharing, cfg.lfsr_bits(),
+             sc::KernelExtents{shape.cout, shape.cin, shape.kh, shape.kw},
+             cfg.layer_salt),
+      reseed_(cfg.rng == sc::RngKind::kTrng),
+      pass_(pass) {}
+
+sc::SeedSpec LayerSeeds::for_pass(sc::SeedSpec spec) const {
+  if (reseed_)
+    spec.seed = static_cast<std::uint32_t>(
+        core::mix64(spec.seed ^ (pass_ * 0xD1B54A32D192ED03ull)) | 1u);
+  return spec;
+}
+
+void generate_weight_bank(const ScLayerConfig& cfg, const ScShape& shape,
+                          const LayerSeeds& seeds,
+                          std::span<const float> weights,
+                          fault::FaultModel* fm, bool use_table,
+                          std::vector<std::uint64_t>& wpos,
+                          std::vector<std::uint64_t>& wneg) {
+  const std::size_t wpl = (static_cast<std::size_t>(cfg.stream_len) + 63) / 64;
+  wpos.assign(weights.size() * wpl, 0);
+  wneg.assign(weights.size() * wpl, 0);
+  const int kw = shape.kw, kh = shape.kh, cout = shape.cout;
+  const std::int64_t K = shape.taps();
+  // Storage index s = t*cout + oc, so each lane writes a contiguous range.
+  exec::parallel_for(
+      static_cast<std::int64_t>(weights.size()), [&](std::int64_t s) {
+        const auto t = static_cast<int>(s / cout);
+        const auto oc = static_cast<int>(s % cout);
+        const auto idx = static_cast<std::size_t>(oc * K + t);
+        const float w = std::clamp(weights[idx], -1.0f, 1.0f);
+        generate_layer_stream(
+            (w >= 0.0f ? wpos : wneg).data() + static_cast<std::size_t>(s) * wpl,
+            cfg, seeds.weight({oc, t / (kw * kh), t / kw % kh, t % kw}),
+            std::abs(w), fm, fault::FaultModel::Site::kWeightSram,
+            fault::FaultModel::Site::kWeightStream, idx, use_table);
+      });
+}
+
+void generate_activation_stream(std::uint64_t* dst, const ScLayerConfig& cfg,
+                                const LayerSeeds& seeds, std::size_t slot,
+                                float a, fault::FaultModel* fm,
+                                bool use_table) {
+  generate_layer_stream(dst, cfg, seeds.activation(slot),
+                        std::clamp(a, 0.0f, 1.0f), fm,
+                        fault::FaultModel::Site::kActSram,
+                        fault::FaultModel::Site::kActStream, slot, use_table);
 }
 
 // Streaming APC state (modeled after [24]) for one output: products are
@@ -131,13 +197,13 @@ struct ScAccumulator::ApcState {
   }
 };
 
-TapLayout tap_layout(AccumMode accum, int cin, int kh, int kw, int hin,
-                     int win) {
+TapLayout tap_layout(AccumMode accum, const ScShape& shape) {
   TapLayout layout;
   layout.accum = accum;
-  layout.taps = cin * kh * kw;
+  layout.taps = shape.taps();
   if (accum == AccumMode::kFxp || accum == AccumMode::kApc) return layout;
-  const bool fc = kh == 1 && kw == 1 && hin == 1 && win == 1;
+  const int kh = shape.kh, kw = shape.kw;
+  const bool fc = kh == 1 && kw == 1 && shape.hin == 1 && shape.win == 1;
   layout.group.resize(static_cast<std::size_t>(layout.taps));
   for (int t = 0; t < layout.taps; ++t) {
     const int kx = t % kw;
@@ -302,26 +368,9 @@ void ScAccumulator::accumulate(std::size_t oidx, std::size_t ostride, int lo,
 
 namespace {
 
-// For TRNGs, a fresh pass must see fresh randomness while preserving the
-// sharing structure (equal base seeds stay equal). Deterministic sources
-// ignore the pass counter.
-sc::SeedSpec pass_spec(const ScLayerConfig& cfg, sc::SeedSpec spec,
-                       std::uint64_t pass) {
-  if (cfg.rng == sc::RngKind::kTrng)
-    spec.seed = static_cast<std::uint32_t>(
-        core::mix64(spec.seed ^ (pass * 0xD1B54A32D192ED03ull)) | 1u);
-  return spec;
-}
-
-// Shape of one SC layer as a convolution. A fully-connected layer is a 1x1
-// convolution on a 1x1 input, as arch::ConvShape::fc models it.
-struct ScGeometry {
-  int cin, h, w, cout, k, stride, pad;
-};
-
 // The SC forward pass shared by ScConv2d and ScLinear.
-//   weights (cout, cin, k, k);  x (nb, cin, h, w);
-//   y, atten (nb, cout, ho, wo)
+//   weights (cout, cin, kh, kw);  x (nb, cin, hin, win);
+//   y, atten (nb, cout, hout, wout)
 // Each window accumulates every output channel in one ScAccumulator call
 // over the layer's tap_layout and tap-major weight bank; outputs with OR
 // groups get the mean group attenuation, the others keep 1. Fault sites
@@ -329,101 +378,54 @@ struct ScGeometry {
 // slots (no batch term: the same physical slot misbehaves identically for
 // every image).
 void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
-                const ScGeometry& g, std::span<const float> weights,
+                const ScShape& g, std::span<const float> weights,
                 std::span<const float> x, int nb, std::span<float> y,
                 std::span<float> atten) {
-  const int L = cfg.stream_len;
-  const std::size_t len = static_cast<std::size_t>(L);
+  const auto len = static_cast<std::size_t>(cfg.stream_len);
   const std::size_t wpl = (len + 63) / 64;
-  const int k = g.k;
-  const int K = g.cin * k * k;
-  const sc::SeedAllocator alloc(cfg.sharing, cfg.lfsr_bits(),
-                                sc::KernelExtents{g.cout, g.cin, k, k},
-                                cfg.layer_salt);
-
+  const int K = g.taps();
+  const LayerSeeds seeds(cfg, g, pass);
   fault::FaultModel* const fm = fault::active();
   const bool use_table = sc::stream_table_enabled();
 
-  // --- weight streams (fixed for the whole batch), tap-major ---------------
-  std::vector<std::uint64_t> wpos(weights.size() * wpl);
-  std::vector<std::uint64_t> wneg(weights.size() * wpl);
-  {
-    std::size_t t = 0;
-    for (int ic = 0; ic < g.cin; ++ic)
-      for (int ky = 0; ky < k; ++ky)
-        for (int kx = 0; kx < k; ++kx, ++t)
-          for (int oc = 0; oc < g.cout; ++oc) {
-            const std::size_t idx = static_cast<std::size_t>(oc) * K + t;
-            const float w = std::clamp(weights[idx], -1.0f, 1.0f);
-            std::uint32_t q = quantize_unsigned(std::abs(w), cfg.value_bits);
-            if (fm != nullptr)
-              q = fm->sram_read(q, cfg.value_bits,
-                                fault::FaultModel::Site::kWeightSram, idx);
-            const sc::SeedSpec spec =
-                pass_spec(cfg, alloc.weight({oc, ic, ky, kx}), pass);
-            const std::size_t slot = t * g.cout + static_cast<std::size_t>(oc);
-            generate_layer_stream(&(w >= 0.0f ? wpos : wneg)[slot * wpl], wpl,
-                                  len, cfg, spec, q, fm,
-                                  fault::FaultModel::Site::kWeightStream, idx,
-                                  use_table);
-          }
-  }
+  // Weight streams, fixed for the whole batch.
+  std::vector<std::uint64_t> wpos, wneg;
+  generate_weight_bank(cfg, g, seeds, weights, fm, use_table, wpos, wneg);
 
-  const int ho = (g.h + 2 * g.pad - k) / g.stride + 1;
-  const int wo = (g.w + 2 * g.pad - k) / g.stride + 1;
-  const std::size_t xy = static_cast<std::size_t>(ho) * wo;
-  const std::size_t outputs = static_cast<std::size_t>(g.cout) * xy;
-  const std::size_t slots = static_cast<std::size_t>(g.cin) * g.h * g.w;
-  const TapLayout layout = tap_layout(cfg.accum, g.cin, k, k, g.h, g.w);
+  const std::size_t xy = static_cast<std::size_t>(g.hout()) * g.wout();
+  const auto outputs = static_cast<std::size_t>(g.outputs());
+  const auto slots = static_cast<std::size_t>(g.activations());
+  const TapLayout layout = tap_layout(cfg.accum, g);
   ScAccumulator acc(layout, len, g.cout, fm);
   std::vector<ScAccumulator::Sum> sums(static_cast<std::size_t>(g.cout));
   std::vector<const std::uint64_t*> taps(static_cast<std::size_t>(K));
   std::vector<std::uint64_t> act(slots * wpl);
-  const double inv_len = 1.0 / static_cast<double>(L);
+  const double inv_len = 1.0 / static_cast<double>(len);
 
   for (int b = 0; b < nb; ++b) {
-    // --- activation streams for this image --------------------------------
     const float* xb = x.data() + static_cast<std::size_t>(b) * slots;
-    for (std::size_t idx = 0; idx < slots; ++idx) {
-      const float a = std::clamp(xb[idx], 0.0f, 1.0f);
-      std::uint32_t q = quantize_unsigned(a, cfg.value_bits);
-      if (fm != nullptr)
-        q = fm->sram_read(q, cfg.value_bits,
-                          fault::FaultModel::Site::kActSram, idx);
-      const sc::SeedSpec spec =
-          pass_spec(cfg, alloc.activation(static_cast<int>(idx)), pass);
-      generate_layer_stream(&act[idx * wpl], wpl, len, cfg, spec, q, fm,
-                            fault::FaultModel::Site::kActStream, idx,
-                            use_table);
-    }
+    for (std::size_t slot = 0; slot < slots; ++slot)
+      generate_activation_stream(&act[slot * wpl], cfg, seeds, slot, xb[slot],
+                                 fm, use_table);
 
-    // --- MAC rows: one window's taps feed every output channel at once -----
-    for (int oy = 0; oy < ho; ++oy)
-      for (int ox = 0; ox < wo; ++ox) {
-        std::size_t t = 0;
-        for (int ic = 0; ic < g.cin; ++ic)
-          for (int ky = 0; ky < k; ++ky)
-            for (int kx = 0; kx < k; ++kx, ++t) {
-              const int iy = oy * g.stride - g.pad + ky;
-              const int ix = ox * g.stride - g.pad + kx;
-              taps[t] = iy < 0 || iy >= g.h || ix < 0 || ix >= g.w
-                            ? nullptr
-                            : &act[((static_cast<std::size_t>(ic) * g.h +
-                                     iy) * g.w + ix) * wpl];
-            }
-        const std::size_t pos = static_cast<std::size_t>(oy) * wo + ox;
-        acc.accumulate(pos, xy, 0, K, taps.data(), wpos.data(), wneg.data(),
-                       sums);
-        for (int oc = 0; oc < g.cout; ++oc) {
-          const ScAccumulator::Sum& s = sums[static_cast<std::size_t>(oc)];
-          const std::size_t out = static_cast<std::size_t>(b) * outputs +
-                                  static_cast<std::size_t>(oc) * xy + pos;
-          if (layout.groups > 0)
-            atten[out] = static_cast<float>(
-                std::max(s.atten / layout.groups, 0.05));
-          y[out] = static_cast<float>(s.counter * inv_len);
-        }
+    // MAC rows: one window's taps feed every output channel at once.
+    for (std::size_t pos = 0; pos < xy; ++pos) {
+      std::fill(taps.begin(), taps.end(), nullptr);
+      for_each_window_tap(g, pos, 0, K, [&](int t, std::size_t slot) {
+        taps[static_cast<std::size_t>(t)] = &act[slot * wpl];
+      });
+      acc.accumulate(pos, xy, 0, K, taps.data(), wpos.data(), wneg.data(),
+                     sums);
+      for (int oc = 0; oc < g.cout; ++oc) {
+        const ScAccumulator::Sum& s = sums[static_cast<std::size_t>(oc)];
+        const std::size_t out = static_cast<std::size_t>(b) * outputs +
+                                static_cast<std::size_t>(oc) * xy + pos;
+        if (layout.groups > 0)
+          atten[out] =
+              static_cast<float>(std::max(s.atten / layout.groups, 0.05));
+        y[out] = static_cast<float>(s.counter * inv_len);
       }
+    }
   }
 }
 
@@ -444,15 +446,13 @@ ScConv2d::ScConv2d(int in_ch, int out_ch, int kernel, int stride, int pad,
 
 Tensor ScConv2d::forward(const Tensor& x, bool /*train*/) {
   input_ = x;  // float input for the inherited backward
-  const int k = kernel_;
-  const int nb = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int ho = (h + 2 * pad_ - k) / stride_ + 1;
-  const int wo = (w + 2 * pad_ - k) / stride_ + 1;
-  Tensor y({nb, out_ch_, ho, wo});
-  atten_ = Tensor({nb, out_ch_, ho, wo}, 1.0f);
-  sc_forward(cfg_, forward_count_++,
-             {in_ch_, h, w, out_ch_, k, stride_, pad_}, weight_.value.data(),
-             x.data(), nb, y.data(), atten_.data());
+  const int nb = x.dim(0);
+  const ScShape g{in_ch_,  x.dim(2), x.dim(3), out_ch_,
+                  kernel_, kernel_,  stride_,  pad_};
+  Tensor y({nb, out_ch_, g.hout(), g.wout()});
+  atten_ = Tensor({nb, out_ch_, g.hout(), g.wout()}, 1.0f);
+  sc_forward(cfg_, forward_count_++, g, weight_.value.data(), x.data(), nb,
+             y.data(), atten_.data());
   return y;
 }
 
@@ -471,7 +471,7 @@ Tensor ScLinear::forward(const Tensor& x, bool /*train*/) {
   const int nb = x.dim(0);
   Tensor y({nb, out_});
   atten_ = Tensor({nb, out_}, 1.0f);
-  sc_forward(cfg_, forward_count_++, {in_, 1, 1, out_, 1, 1, 0},
+  sc_forward(cfg_, forward_count_++, {in_, 1, 1, out_, 1, 1, 1, 0},
              weight_.value.data(), x.data(), nb, y.data(), atten_.data());
   for (int b = 0; b < nb; ++b)
     for (int o = 0; o < out_; ++o)
@@ -506,14 +506,14 @@ Tensor QuantLinear::forward(const Tensor& x, bool /*train*/) {
 // ------------------------------------------------------------- Reference
 
 std::vector<std::int32_t> fxp_reference_counters(
-    int cin, int hin, int win, int cout, int kh, int kw, int stride, int pad,
-    std::span<const float> weights, std::span<const float> input,
-    unsigned value_bits, int stream_len) {
+    const ScShape& shape, std::span<const float> weights,
+    std::span<const float> input, unsigned value_bits, int stream_len) {
+  const auto [cin, hin, win, cout, kh, kw, stride, pad] = shape;
   if (cin <= 0 || hin <= 0 || win <= 0 || cout <= 0 || kh <= 0 || kw <= 0 ||
       stride <= 0 || pad < 0)
     throw std::invalid_argument("fxp_reference_counters: bad shape");
-  const int ho = (hin + 2 * pad - kh) / stride + 1;
-  const int wo = (win + 2 * pad - kw) / stride + 1;
+  const int ho = shape.hout();
+  const int wo = shape.wout();
   if (ho <= 0 || wo <= 0)
     throw std::invalid_argument("fxp_reference_counters: empty output");
   const std::size_t wsize = static_cast<std::size_t>(cout) * cin * kh * kw;

@@ -10,11 +10,12 @@
 // Both layers run one SC forward core: as on GEO's MAC rows, a
 // fully-connected layer is a 1x1 convolution on a 1x1 input, so stream
 // generation, fault-site keying, accumulation and gradient attenuation exist
-// once. GeoMachine shares the datapath itself: it generates its streams with
-// generate_layer_stream, groups taps with tap_layout and accumulates each
-// kernel slice with ScAccumulator. The machine therefore equals the
-// reference by construction on every layer whose OR groups fit in one
-// kernel slice.
+// once. GeoMachine shares the front end and the datapath with it: the seed
+// rule (LayerSeeds), stream generation (generate_weight_bank,
+// generate_activation_stream), the window walk (for_each_window_tap), the
+// tap grouping (tap_layout) and the accumulation (ScAccumulator). So the
+// machine equals the reference by construction, under every generator, on
+// every layer whose OR groups fit in one kernel slice.
 //
 // Activations are unipolar (post-ReLU values in [0, 1]); weights are signed,
 // so each weight carries a positive or a negative channel stream and every
@@ -51,22 +52,83 @@ struct ScLayerConfig {
                                   int layer_index);
 };
 
-// Generates one magnitude stream into `dst` (wpl words, `length` bits).
-// `q` is the magnitude in the value_bits fixed-point domain. `fm` may be
-// null; when set, a seed upset hits the SNG before generation and stream bit
-// flips hit the buffer after, keyed by (domain, site), so the nn layers and
-// GeoMachine inject identical faults into identical slots. The spec is
-// corrupted before the stream-table cache is keyed, so a seed-upset stream
-// is served from the corrupted sequence's table, never the healthy one.
-// `use_table` routes through the shared-sequence cache
-// (sc/stream_table.hpp); off, the calling thread's reusable generator ticks
-// bit-serially. Both paths are bit-identical.
-void generate_layer_stream(std::uint64_t* dst, std::size_t wpl,
-                           std::size_t length, const ScLayerConfig& cfg,
-                           sc::SeedSpec spec, std::uint32_t q,
-                           fault::FaultModel* fm,
-                           fault::FaultModel::Site domain, std::uint64_t site,
-                           bool use_table);
+// The SC path's one seed rule: a layer's seeds as a pure function of its
+// config, shape and forward pass. Under kTrng each pass re-seeds (fresh
+// randomness; equal base seeds stay equal); deterministic sources ignore
+// the pass. GeoMachine runs pass 0, the reference's first forward.
+class LayerSeeds {
+ public:
+  LayerSeeds(const ScLayerConfig& cfg, const ScShape& shape,
+             std::uint64_t pass = 0);
+
+  sc::SeedSpec weight(const sc::WeightPos& pos) const {
+    return for_pass(alloc_.weight(pos));
+  }
+  sc::SeedSpec activation(std::size_t slot) const {
+    return for_pass(alloc_.activation(static_cast<int>(slot)));
+  }
+
+ private:
+  sc::SeedSpec for_pass(sc::SeedSpec spec) const;
+
+  sc::SeedAllocator alloc_;
+  bool reseed_;
+  std::uint64_t pass_;
+};
+
+// Generates a layer's tap-major weight bank (see TapLayout) into
+// `wpos`/`wneg`: each weight is clamped to [-1, 1], its magnitude quantized,
+// read through the weight SRAM and generated into the bank of its sign,
+// with fault sites oc*K + t. Fans out on exec::parallel_for in storage
+// order; every stream owns its slot and sites, so the bank is
+// byte-identical at any thread count.
+void generate_weight_bank(const ScLayerConfig& cfg, const ScShape& shape,
+                          const LayerSeeds& seeds,
+                          std::span<const float> weights,
+                          fault::FaultModel* fm, bool use_table,
+                          std::vector<std::uint64_t>& wpos,
+                          std::vector<std::uint64_t>& wneg);
+
+// Generates the stream of input slot `slot` (value `a`, clamped to [0, 1])
+// into `dst`: quantized, read through the activation SRAM and generated,
+// with fault site `slot`.
+//
+// Both generators use the shared stream tables (sc/stream_table.hpp) when
+// `use_table` is set and tick the thread's generator otherwise; the two are
+// bit-identical. `fm` may be null; when set, SRAM reads, seeds and stream
+// buffers are corrupted keyed by (domain, site).
+void generate_activation_stream(std::uint64_t* dst, const ScLayerConfig& cfg,
+                                const LayerSeeds& seeds, std::size_t slot,
+                                float a, fault::FaultModel* fm,
+                                bool use_table);
+
+// The SC path's window walk: calls fn(t, slot) for every tap t in [lo, hi)
+// of output window pos = oy*wout + ox that reads input slot
+// (ic*hin + iy)*win + ix, skipping padding. Tap t = (ic*kh + ky)*kw + kx;
+// (ic, ky, kx) is stepped with t, not divided out per tap.
+template <typename Fn>
+void for_each_window_tap(const ScShape& s, std::size_t pos, int lo, int hi,
+                         Fn&& fn) {
+  const int wo = s.wout();
+  const int y0 = static_cast<int>(pos) / wo * s.stride - s.pad;
+  const int x0 = static_cast<int>(pos) % wo * s.stride - s.pad;
+  int kx = lo % s.kw;
+  int ky = lo / s.kw % s.kh;
+  int ic = lo / (s.kw * s.kh);
+  for (int t = lo; t < hi; ++t) {
+    const int iy = y0 + ky;
+    const int ix = x0 + kx;
+    if (iy >= 0 && iy < s.hin && ix >= 0 && ix < s.win)
+      fn(t, (static_cast<std::size_t>(ic) * s.hin + iy) * s.win + ix);
+    if (++kx == s.kw) {
+      kx = 0;
+      if (++ky == s.kh) {
+        ky = 0;
+        ++ic;
+      }
+    }
+  }
+}
 
 // How a layer's taps feed its accumulators (Sec. III-B). Tap t of an output
 // is t = (ic*kh + ky)*kw + kx. Under kOr / kPbw / kPbhw tap t ORs its
@@ -88,8 +150,7 @@ struct TapLayout {
 // every tap in group 0, kPbw groups by kx and kPbhw by ky*kw + kx. A
 // fully-connected layer (a 1x1 kernel on a 1x1 input) has no window to
 // split, so kPbw and kPbhw group its taps by t / kFcGroup.
-TapLayout tap_layout(AccumMode accum, int cin, int kh, int kw, int hin,
-                     int win);
+TapLayout tap_layout(AccumMode accum, const ScShape& shape);
 
 // The row-broadcast SC accumulation of ScConv2d, ScLinear and GeoMachine,
 // their one MAC inner loop. As one activation SNG feeds every MAC row in
@@ -150,11 +211,10 @@ class ScAccumulator {
 // whose SC execution cannot pass its detection guards is recomputed here,
 // deterministically and independent of any fault injection.
 //   weights (cout, cin, kh, kw) in [-1, 1];  input (cin, hin, win) in [0, 1]
-// Returns (cout, hout, wout) counters, hout/wout derived from stride/pad.
+// Returns (cout, hout, wout) counters.
 std::vector<std::int32_t> fxp_reference_counters(
-    int cin, int hin, int win, int cout, int kh, int kw, int stride, int pad,
-    std::span<const float> weights, std::span<const float> input,
-    unsigned value_bits, int stream_len);
+    const ScShape& shape, std::span<const float> weights,
+    std::span<const float> input, unsigned value_bits, int stream_len);
 
 class ScConv2d : public Conv2d {
  public:

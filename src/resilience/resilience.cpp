@@ -529,9 +529,7 @@ std::vector<BatchItemResult> ResilientExecutor::run_conv_batch(
           }
           const nn::ScLayerConfig cfg = machine.layer_config(shape, layer_salt);
           accepted.counters = nn::fxp_reference_counters(
-              shape.cin, shape.hin, shape.win, shape.cout, shape.kh, shape.kw,
-              shape.stride, shape.pad, weights, item.input, cfg.value_bits,
-              cfg.stream_len);
+              shape, weights, item.input, cfg.value_bits, cfg.stream_len);
           accepted.activations.resize(accepted.counters.size());
           const std::int64_t per_channel =
               static_cast<std::int64_t>(shape.hout()) * shape.wout();

@@ -570,9 +570,7 @@ void InferenceServer::schedule_prewarm(const Request& req) {
     // distinct rows, so the first few coordinates cover the layer.
     const nn::ScLayerConfig cfg =
         arch::GeoMachine(hw).layer_config(shape, salt);
-    const sc::SeedAllocator alloc(
-        cfg.sharing, cfg.lfsr_bits(),
-        sc::KernelExtents{shape.cout, shape.cin, shape.kh, shape.kw}, salt);
+    const nn::LayerSeeds seeds(cfg, shape);
     auto& registry = sc::StreamTableRegistry::instance();
     std::vector<sc::SeedSpec> seen;
     std::int64_t acquired = 0;
@@ -586,12 +584,13 @@ void InferenceServer::schedule_prewarm(const Request& req) {
     };
     const int acts =
         static_cast<int>(std::min<std::int64_t>(shape.activations(), 64));
-    for (int i = 0; i < acts; ++i) acquire_once(alloc.activation(i));
+    for (int i = 0; i < acts; ++i)
+      acquire_once(seeds.activation(static_cast<std::size_t>(i)));
     for (int oc = 0; oc < std::min(shape.cout, 4); ++oc)
       for (int ic = 0; ic < std::min(shape.cin, 4); ++ic)
         for (int ky = 0; ky < shape.kh; ++ky)
           for (int kx = 0; kx < shape.kw; ++kx)
-            acquire_once(alloc.weight(sc::WeightPos{oc, ic, ky, kx}));
+            acquire_once(seeds.weight(sc::WeightPos{oc, ic, ky, kx}));
     if (acquired > 0) {
       prewarm_tables_.fetch_add(acquired, std::memory_order_relaxed);
       metrics.counter("serve.prewarm_tables").add(acquired);

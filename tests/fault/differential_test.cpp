@@ -2,7 +2,8 @@
 // layers: seeded random conv and FC shapes on a reduced fabric (4 rows of 32
 // MACs, so Cout and Cin*k*k fall on both sides of the row count and width),
 // crossed with every accumulation mode, sharing level, progressive loading
-// and the fault models of ScReferenceGolden. Wherever the hardware mapping
+// and the fault models of ScReferenceGolden, each draw on a shared LFSR or
+// on per-SNG TRNGs (HwConfig::lfsr_per_sng). Wherever the hardware mapping
 // cannot change the arithmetic the counters must equal the reference's
 // outputs byte for byte; the remaining cases are counted, not compared.
 #include <gtest/gtest.h>
@@ -94,12 +95,14 @@ struct Case {
   bool progressive;
   const char* faults;
   int stream_len;
+  bool trng;  // lfsr_per_sng: unshared TRNG generators
 };
 
 std::string describe(const Case& c) {
   const ConvShape& s = c.shape;
   return std::string(nn::to_string(c.accum)) + " " +
          sc::to_string(c.sharing) + (c.progressive ? " prog" : "") +
+         (c.trng ? " trng" : " lfsr") +
          " faults='" + c.faults + "' " + s.name +
          " cin=" + std::to_string(s.cin) + " hw=" + std::to_string(s.hin) +
          " cout=" + std::to_string(s.cout) + " k=" + std::to_string(s.kh) +
@@ -118,6 +121,7 @@ int count_mismatches(const Case& c, std::uint64_t salt, std::mt19937_64& rng) {
   hw.accum = c.accum;
   hw.sharing = c.sharing;
   hw.progressive = c.progressive;
+  hw.lfsr_per_sng = c.trng;
   hw.stream_len = hw.stream_len_pool = hw.stream_len_output = c.stream_len;
 
   std::uniform_real_distribution<float> wdist(-0.9f, 0.9f);
@@ -182,7 +186,10 @@ int count_mismatches(const Case& c, std::uint64_t salt, std::mt19937_64& rng) {
 
 TEST(MachineDifferential, RandomLayersMatchTheReference) {
   std::mt19937_64 rng(20210301);
-  int compared = 0, skipped = 0, fc_pb = 0, apc = 0, sliced = 0;
+  // The generator is drawn from its own stream, so the shape and operand
+  // draws are the same with and without it.
+  std::mt19937_64 rng_kind(2006);
+  int compared = 0, skipped = 0, fc_pb = 0, apc = 0, sliced = 0, trng = 0;
   std::uint64_t salt = 1;
   for (const AccumMode accum :
        {AccumMode::kOr, AccumMode::kPbw, AccumMode::kPbhw, AccumMode::kFxp,
@@ -194,7 +201,8 @@ TEST(MachineDifferential, RandomLayersMatchTheReference) {
           for (int draw = 0; draw < kDraws; ++draw) {
             const Case c{random_shape(rng), accum, sharing, progressive,
                          faults,
-                         32 << std::uniform_int_distribution<int>(0, 2)(rng)};
+                         32 << std::uniform_int_distribution<int>(0, 2)(rng),
+                         std::bernoulli_distribution(0.5)(rng_kind)};
             const bool stuck = std::string(faults).find("stuck") == 0;
             const bool multi_slice = c.shape.taps() > kMacsPerRow;
             if (multi_slice &&
@@ -210,17 +218,19 @@ TEST(MachineDifferential, RandomLayersMatchTheReference) {
             fc_pb += c.shape.name == "fc" && (accum == AccumMode::kPbw ||
                                               accum == AccumMode::kPbhw);
             apc += accum == AccumMode::kApc;
+            trng += c.trng;
           }
   RecordProperty("compared", compared);
   RecordProperty("skipped", skipped);
   std::printf("differential: %d compared (%d FC partial-binary, %d APC, "
-              "%d sliced), %d skipped\n",
-              compared, fc_pb, apc, sliced, skipped);
+              "%d sliced, %d TRNG), %d skipped\n",
+              compared, fc_pb, apc, sliced, trng, skipped);
   // The draw must exercise what the comparison is for.
   EXPECT_GE(compared, 600);
   EXPECT_GE(fc_pb, 100);
   EXPECT_GE(apc, 100);
   EXPECT_GE(sliced, 100);
+  EXPECT_GE(trng, 250);
 }
 
 }  // namespace

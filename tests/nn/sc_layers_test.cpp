@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace geo::nn {
@@ -47,6 +48,62 @@ TEST(ScLayerConfig, LfsrBitsMatchStreamLength) {
   EXPECT_THROW(cfg(AccumMode::kPbw, 100).lfsr_bits(), std::invalid_argument);
 }
 
+// The shared window walk against direct division: tap t of a window is
+// (ic, ky, kx) = (t / (kh*kw), t / kw % kh, t % kw). Random shapes with
+// kh != kw, strides past the kernel, padding 0-2 and tap ranges [lo, hi)
+// that start and end inside a kernel row.
+TEST(WindowWalk, MatchesDivisionOracle) {
+  std::mt19937_64 rng(21);
+  auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  int wide_stride = 0, mid_row_lo = 0, mid_row_hi = 0;
+  for (int draw = 0; draw < 400; ++draw) {
+    ScShape s;
+    s.kh = pick(1, 5);
+    do s.kw = pick(1, 5); while (s.kw == s.kh);
+    s.cin = pick(1, 4);
+    s.cout = 1;
+    s.stride = pick(1, 7);
+    s.pad = pick(0, 2);
+    s.hin = pick(std::max(1, s.kh - 2 * s.pad), s.kh + 8);
+    s.win = pick(std::max(1, s.kw - 2 * s.pad), s.kw + 8);
+    const int K = s.taps();
+    int lo = pick(0, K), hi = pick(0, K);
+    if (lo > hi) std::swap(lo, hi);
+    wide_stride += s.stride > std::max(s.kh, s.kw);
+    mid_row_lo += lo % s.kw != 0;
+    mid_row_hi += hi % s.kw != 0;
+    const std::size_t windows =
+        static_cast<std::size_t>(s.hout()) * static_cast<std::size_t>(s.wout());
+    for (std::size_t pos = 0; pos < windows; ++pos) {
+      std::vector<std::pair<int, std::size_t>> walked, expected;
+      for_each_window_tap(s, pos, lo, hi, [&](int t, std::size_t slot) {
+        walked.emplace_back(t, slot);
+      });
+      const int oy = static_cast<int>(pos) / s.wout();
+      const int ox = static_cast<int>(pos) % s.wout();
+      for (int t = lo; t < hi; ++t) {
+        const int ic = t / (s.kh * s.kw), ky = t / s.kw % s.kh, kx = t % s.kw;
+        const int iy = oy * s.stride - s.pad + ky;
+        const int ix = ox * s.stride - s.pad + kx;
+        if (iy < 0 || iy >= s.hin || ix < 0 || ix >= s.win) continue;
+        expected.emplace_back(
+            t, (static_cast<std::size_t>(ic) * s.hin + iy) * s.win + ix);
+      }
+      ASSERT_EQ(walked, expected)
+          << "cin=" << s.cin << " hin=" << s.hin << " win=" << s.win
+          << " kh=" << s.kh << " kw=" << s.kw << " stride=" << s.stride
+          << " pad=" << s.pad << " taps [" << lo << ", " << hi
+          << ") window " << pos;
+    }
+  }
+  // The draw must exercise what the oracle is for.
+  EXPECT_GE(wide_stride, 40);
+  EXPECT_GE(mid_row_lo, 100);
+  EXPECT_GE(mid_row_hi, 100);
+}
+
 // ScAccumulator against a bit-serial oracle. The machine and the nn layers
 // share the kernel, so their differential test cannot see a bug in it; this
 // one recomputes each channel cycle by cycle: AND every tap's activation bit
@@ -63,7 +120,8 @@ TEST(ScAccumulator, MatchesBitSerialOracle) {
     for (const Geometry g : {Geometry{2, 3, 5}, Geometry{40, 1, 1}})
       for (const std::size_t len : {std::size_t{64}, std::size_t{100}})
         for (const int nch : {1, 5, 64, 65}) {
-          const TapLayout layout = tap_layout(mode, g.cin, g.k, g.k, g.hw, g.hw);
+          const TapLayout layout =
+              tap_layout(mode, ScShape{g.cin, g.hw, g.hw, 1, g.k, g.k, 1, 0});
           const int K = layout.taps;
           const int cout = nch + 3;
           const int c0 = 2;

@@ -196,9 +196,7 @@ TEST(ResilientExecutor, DefectFaultsDegradeToExactReference) {
 
   const nn::ScLayerConfig lcfg = GeoMachine(hw).layer_config(f.shape, 9);
   const auto ref = nn::fxp_reference_counters(
-      f.shape.cin, f.shape.hin, f.shape.win, f.shape.cout, f.shape.kh,
-      f.shape.kw, f.shape.stride, f.shape.pad, f.weights, f.input,
-      lcfg.value_bits, lcfg.stream_len);
+      f.shape, f.weights, f.input, lcfg.value_bits, lcfg.stream_len);
   EXPECT_EQ(r->counters, ref);
 
   std::vector<std::uint8_t> act(ref.size());
