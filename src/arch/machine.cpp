@@ -1,16 +1,21 @@
 #include "arch/machine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
+#include <cstring>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 
 #include "arch/attribution.hpp"
 #include "arch/perf_sim.hpp"
+#include "core/env.hpp"
 #include "exec/parallel_conv.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/quantize.hpp"
@@ -39,6 +44,176 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
     }
 }
 
+// ---------------------------------------------------------- WeightBankCache
+
+namespace {
+
+// Generates a layer's weight bank; the one place the machine does, so every
+// generation, cached or not, emits the machine.weight_streams span.
+std::shared_ptr<const WeightBank> generate_bank(const nn::ScLayerConfig& cfg,
+                                                const nn::ScShape& shape,
+                                                const nn::LayerSeeds& seeds,
+                                                std::span<const float> weights,
+                                                fault::FaultModel* fm,
+                                                bool use_table) {
+  telemetry::ScopedTimer t(
+      "machine.weight_streams", "machine",
+      {{"streams", static_cast<double>(weights.size())}});
+  auto bank = std::make_shared<WeightBank>();
+  nn::generate_weight_bank(cfg, shape, seeds, weights, fm, use_table,
+                           bank->pos, bank->neg);
+  return bank;
+}
+
+// Everything but the weights that generate_weight_bank reads.
+struct BankKey {
+  nn::ScLayerConfig cfg;
+  std::array<int, 8> geometry{};  // cin, hin, win, cout, kh, kw, stride, pad
+  bool use_table = false;
+
+  bool operator==(const BankKey&) const = default;
+};
+
+std::uint64_t bank_digest(const BankKey& k, std::span<const float> weights) {
+  std::uint64_t h = 0x6A09E667F3BCC909ull;
+  const auto fold = [&h](std::uint64_t v) { h = core::mix64(h ^ v); };
+  fold(static_cast<std::uint64_t>(k.cfg.rng));
+  fold(static_cast<std::uint64_t>(k.cfg.sharing));
+  fold(static_cast<std::uint64_t>(k.cfg.accum));
+  fold(static_cast<std::uint64_t>(k.cfg.stream_len));
+  fold(k.cfg.value_bits);
+  fold(k.cfg.progressive);
+  fold(k.cfg.layer_salt);
+  for (const int g : k.geometry) fold(static_cast<std::uint32_t>(g));
+  fold(k.use_table);
+  fold(weights.size());
+  // The weights run through four independent multiply-xorshift lanes, so
+  // the pass is not bound by one mix64 latency per word.
+  const auto* bytes = reinterpret_cast<const unsigned char*>(weights.data());
+  const std::size_t n = weights.size_bytes();
+  std::uint64_t lane[4] = {h, ~h, h ^ 0x9E3779B97F4A7C15ull, h + 1};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32)
+    for (int l = 0; l < 4; ++l) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes + i + 8 * l, 8);
+      lane[l] = (lane[l] ^ word) * 0xFF51AFD7ED558CCDull;
+      lane[l] ^= lane[l] >> 29;
+    }
+  for (; i < n; i += sizeof(float)) {
+    std::uint32_t word;
+    std::memcpy(&word, bytes + i, sizeof(float));
+    fold(word);
+  }
+  for (const std::uint64_t l : lane) fold(l);
+  return h;
+}
+
+}  // namespace
+
+struct WeightBankCache::Impl {
+  struct Entry {
+    std::uint64_t digest = 0;
+    BankKey key;
+    std::vector<float> weights;
+    std::shared_ptr<const WeightBank> bank;
+    std::uint64_t bytes = 0;
+  };
+  using Lru = std::list<std::shared_ptr<const Entry>>;  // most recent first
+
+  std::uint64_t budget = 0;
+  mutable std::mutex mu;  // guards lru, by_digest and resident
+  Lru lru;
+  std::unordered_map<std::uint64_t, Lru::iterator> by_digest;
+  std::uint64_t resident = 0;
+  std::atomic<std::int64_t> hits{0}, misses{0};
+
+  void erase(Lru::iterator it) {
+    resident -= (*it)->bytes;
+    by_digest.erase((*it)->digest);
+    lru.erase(it);
+  }
+};
+
+WeightBankCache::WeightBankCache(std::uint64_t budget_bytes)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->budget = budget_bytes;
+}
+
+WeightBankCache::~WeightBankCache() = default;
+
+WeightBankCache& WeightBankCache::instance() {
+  static WeightBankCache cache;
+  return cache;
+}
+
+std::shared_ptr<const WeightBank> WeightBankCache::acquire(
+    const nn::ScLayerConfig& cfg, const nn::ScShape& shape,
+    std::span<const float> weights, bool use_table) {
+  Impl& im = *impl_;
+  const BankKey key{cfg,
+                    {shape.cin, shape.hin, shape.win, shape.cout, shape.kh,
+                     shape.kw, shape.stride, shape.pad},
+                    use_table};
+  const std::uint64_t digest = bank_digest(key, weights);
+  std::shared_ptr<const Impl::Entry> found;
+  {
+    const std::lock_guard<std::mutex> lock(im.mu);
+    if (const auto it = im.by_digest.find(digest); it != im.by_digest.end()) {
+      im.lru.splice(im.lru.begin(), im.lru, it->second);
+      found = *it->second;
+    }
+  }
+  // The entry is immutable, so the exact compare runs outside the lock.
+  if (found != nullptr && found->key == key &&
+      found->weights.size() == weights.size() &&
+      std::memcmp(found->weights.data(), weights.data(),
+                  weights.size_bytes()) == 0) {
+    ++im.hits;
+    telemetry::MetricsRegistry::instance()
+        .counter("machine.weight_bank_hits")
+        .add(1);
+    return found->bank;
+  }
+
+  auto entry = std::make_shared<Impl::Entry>();
+  entry->bank = generate_bank(cfg, shape, nn::LayerSeeds(cfg, shape),
+                              weights, nullptr, use_table);
+  entry->digest = digest;
+  entry->key = key;
+  entry->weights.assign(weights.begin(), weights.end());
+  entry->bytes = (entry->bank->pos.size() + entry->bank->neg.size()) *
+                     sizeof(std::uint64_t) +
+                 weights.size_bytes();
+  std::shared_ptr<const WeightBank> bank = entry->bank;
+
+  ++im.misses;
+  const std::lock_guard<std::mutex> lock(im.mu);
+  if (entry->bytes > im.budget) return bank;
+  if (const auto it = im.by_digest.find(digest); it != im.by_digest.end())
+    im.erase(it->second);
+  while (im.resident + entry->bytes > im.budget)
+    im.erase(std::prev(im.lru.end()));
+  im.lru.push_front(std::move(entry));
+  im.by_digest.emplace(digest, im.lru.begin());
+  im.resident += im.lru.front()->bytes;
+  return bank;
+}
+
+std::int64_t WeightBankCache::hits() const { return impl_->hits.load(); }
+
+std::int64_t WeightBankCache::misses() const { return impl_->misses.load(); }
+
+std::uint64_t WeightBankCache::resident_bytes() const {
+  const std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->resident;
+}
+
+std::size_t WeightBankCache::size() const {
+  const std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->lru.size();
+}
+
 // ----------------------------------------------------------- ConvExecution
 
 struct ConvExecution::Impl {
@@ -64,7 +239,8 @@ struct ConvExecution::Impl {
   bool use_stream_table = true;
 
   std::optional<nn::LayerSeeds> seeds;
-  std::vector<std::uint64_t> wpos, wneg, act;
+  std::shared_ptr<const WeightBank> bank;  // shared, read-only
+  std::vector<std::uint64_t> act;
   // Lazy activation-stream cache flags: 0 = empty, 1 = being generated,
   // 2 = ready. Atomic so concurrent tiles claim generation exactly once
   // (first CAS winner generates, everyone else waits for the release store)
@@ -156,8 +332,10 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
   const int c0 = cg * R;
   std::vector<nn::ScAccumulator::Sum> sums(
       static_cast<std::size_t>(std::min(chans_at_once, shape.cout - c0)));
-  const std::uint64_t* row_pos = &wpos[static_cast<std::size_t>(c0) * wpl];
-  const std::uint64_t* row_neg = &wneg[static_cast<std::size_t>(c0) * wpl];
+  const std::uint64_t* row_pos =
+      &bank->pos[static_cast<std::size_t>(c0) * wpl];
+  const std::uint64_t* row_neg =
+      &bank->neg[static_cast<std::size_t>(c0) * wpl];
   std::vector<const std::uint64_t*> taps(
       static_cast<std::size_t>(shape.taps()));
 
@@ -525,13 +703,14 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   fault::FaultModel* const fm = impl->fm;
 
   // ---- weight memory -> weight SNG streams (whole filter bank) ----------
-  {
-    telemetry::ScopedTimer t("machine.weight_streams", "machine",
-                             {{"streams", static_cast<double>(
-                                   weights.size())}});
-    nn::generate_weight_bank(cfg, shape, *impl->seeds, weights, fm,
-                             impl->use_stream_table, impl->wpos, impl->wneg);
-  }
+  // A clean bank is a pure function of the layer, so it comes from the
+  // process cache. With a fault model active (a zero-rate one included),
+  // generation reads fault sites and charges ECC retries, so it runs here.
+  impl->bank = fm == nullptr
+                   ? WeightBankCache::instance().acquire(
+                         cfg, shape, weights, impl->use_stream_table)
+                   : generate_bank(cfg, shape, *impl->seeds, weights, fm,
+                                   impl->use_stream_table);
   if (fm != nullptr)
     impl->weight_retry = fm->stats().sram_retry_cycles - impl->fault_retry0;
 

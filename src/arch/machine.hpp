@@ -88,12 +88,66 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
                    std::int64_t per_channel,
                    std::span<std::uint8_t> activations);
 
+// A layer's generated weight streams, tap-major as nn::generate_weight_bank
+// writes them: stream (t*cout + oc)*wpl of `pos` or `neg`, by weight sign.
+struct WeightBank {
+  std::vector<std::uint64_t> pos, neg;
+};
+
+// The process-wide cache of clean weight banks: GEO's weight-stationary
+// dataflow (Sec. III-C) generates a layer's weight streams once and reuses
+// them for every input, and so does the host model across requests.
+//
+// A bank is a pure function of what nn::generate_weight_bank reads with no
+// fault model: the ScLayerConfig, the ScShape geometry, use_table and the
+// weights. Entries are looked up by a 64-bit digest of all of them, and a
+// hit is confirmed by comparing the fields and the weight bytes exactly
+// against the entry's own copy, so a digest collision is a miss, never a
+// wrong bank. Resident bytes (banks plus weight copies) stay at or under the
+// budget; the least recently used entries are evicted first, and a bank an
+// execution still holds outlives its eviction. Thread-safe: concurrent
+// misses on one key each generate (the banks are identical) and the last
+// insert is kept. Telemetry: a generation emits a machine.weight_streams
+// span, a hit bumps machine.weight_bank_hits.
+class WeightBankCache {
+ public:
+  // The process instance's budget (fixed; not a knob).
+  static constexpr std::uint64_t kBudgetBytes = std::uint64_t{64} << 20;
+
+  explicit WeightBankCache(std::uint64_t budget_bytes = kBudgetBytes);
+  ~WeightBankCache();
+  WeightBankCache(const WeightBankCache&) = delete;
+  WeightBankCache& operator=(const WeightBankCache&) = delete;
+
+  static WeightBankCache& instance();
+
+  // The bank generate_weight_bank produces for these inputs under no fault
+  // model (pass-0 seeds), generated and inserted on a miss. Callers with an
+  // active fault model must not use the cache: generation then reads fault
+  // sites and charges ECC retry cycles.
+  std::shared_ptr<const WeightBank> acquire(const nn::ScLayerConfig& cfg,
+                                            const nn::ScShape& shape,
+                                            std::span<const float> weights,
+                                            bool use_table);
+
+  std::int64_t hits() const;
+  std::int64_t misses() const;
+  std::uint64_t resident_bytes() const;
+  std::size_t size() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
 // A prepared convolution whose pass schedule is executed tile by tile. One
 // tile is one (channel group, window group) pair; running it executes every
 // kernel slice for that tile's outputs against the input snapshot captured
 // at prepare time (weight/activation streams are generated once and reused),
-// so re-running a tile is the hardware's retry-from-snapshot. Obtained from
-// GeoMachine::prepare_conv; the weights/input spans must outlive the
+// so re-running a tile is the hardware's retry-from-snapshot. The weight
+// bank is shared and read-only: with no fault model active it comes from
+// WeightBankCache, so executions of the same layer hold one bank. Obtained
+// from GeoMachine::prepare_conv; the weights/input spans must outlive the
 // execution. `finish()` applies BN/ReLU, reconciles the cycle ledger and
 // mirrors the stats into telemetry — running every tile exactly once and
 // finishing is bit- and stat-identical to GeoMachine::try_run_conv.
@@ -212,7 +266,11 @@ class GeoMachine {
 
   // Validates the layer and builds a tile-granular execution (the machinery
   // under try_run_conv, exposed for the resilience layer's detect-and-retry
-  // loop). The spans must outlive the returned execution.
+  // loop). The weight bank comes from WeightBankCache::instance() when no
+  // fault model is active (fault::active() is null), and is generated for
+  // this execution alone otherwise, a zero-rate model included. Outputs and
+  // stats are the same either way. The spans must outlive the returned
+  // execution.
   geo::StatusOr<ConvExecution> prepare_conv(const ConvShape& shape,
                                             std::span<const float> weights,
                                             std::span<const float> input,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/env.hpp"
-#include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/quantize.hpp"
 #include "sc/progressive.hpp"
@@ -134,20 +133,22 @@ void generate_weight_bank(const ScLayerConfig& cfg, const ScShape& shape,
   wpos.assign(weights.size() * wpl, 0);
   wneg.assign(weights.size() * wpl, 0);
   const int kw = shape.kw, kh = shape.kh, cout = shape.cout;
-  const std::int64_t K = shape.taps();
-  // Storage index s = t*cout + oc, so each lane writes a contiguous range.
-  exec::parallel_for(
-      static_cast<std::int64_t>(weights.size()), [&](std::int64_t s) {
-        const auto t = static_cast<int>(s / cout);
-        const auto oc = static_cast<int>(s % cout);
-        const auto idx = static_cast<std::size_t>(oc * K + t);
-        const float w = std::clamp(weights[idx], -1.0f, 1.0f);
-        generate_layer_stream(
-            (w >= 0.0f ? wpos : wneg).data() + static_cast<std::size_t>(s) * wpl,
-            cfg, seeds.weight({oc, t / (kw * kh), t / kw % kh, t % kw}),
-            std::abs(w), fm, fault::FaultModel::Site::kWeightSram,
-            fault::FaultModel::Site::kWeightStream, idx, use_table);
-      });
+  const int K = shape.taps();
+  // Storage order s = t*cout + oc. Serial: fanning out on the thread pool
+  // was no faster (docs/PARALLELISM.md).
+  std::size_t s = 0;
+  for (int t = 0; t < K; ++t)
+    for (int oc = 0; oc < cout; ++oc, ++s) {
+      const std::size_t idx = static_cast<std::size_t>(oc) * K + t;
+      const float w = std::clamp(weights[idx], -1.0f, 1.0f);
+      generate_layer_stream((w >= 0.0f ? wpos : wneg).data() + s * wpl, cfg,
+                            seeds.weight({oc, t / (kw * kh), t / kw % kh,
+                                          t % kw}),
+                            std::abs(w), fm,
+                            fault::FaultModel::Site::kWeightSram,
+                            fault::FaultModel::Site::kWeightStream, idx,
+                            use_table);
+    }
 }
 
 void generate_activation_stream(std::uint64_t* dst, const ScLayerConfig& cfg,

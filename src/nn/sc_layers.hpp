@@ -44,6 +44,8 @@ struct ScLayerConfig {
   bool progressive = false;
   std::uint64_t layer_salt = 0;
 
+  bool operator==(const ScLayerConfig&) const = default;
+
   // GEO matches LFSR width to stream length: streams of 2^n use n bits.
   unsigned lfsr_bits() const;
 
@@ -79,9 +81,8 @@ class LayerSeeds {
 // Generates a layer's tap-major weight bank (see TapLayout) into
 // `wpos`/`wneg`: each weight is clamped to [-1, 1], its magnitude quantized,
 // read through the weight SRAM and generated into the bank of its sign,
-// with fault sites oc*K + t. Fans out on exec::parallel_for in storage
-// order; every stream owns its slot and sites, so the bank is
-// byte-identical at any thread count.
+// with fault sites oc*K + t. Runs serially on the calling thread, in
+// storage order.
 void generate_weight_bank(const ScLayerConfig& cfg, const ScShape& shape,
                           const LayerSeeds& seeds,
                           std::span<const float> weights,

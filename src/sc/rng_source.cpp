@@ -28,10 +28,11 @@ std::unique_ptr<RngSource> LfsrSource::clone() const {
 void LfsrSource::reseed(const SeedSpec& spec) { *this = LfsrSource(spec); }
 
 TrngSource::TrngSource(const SeedSpec& spec)
-    : bits_(spec.bits), epoch_(0), id_(spec.seed), gen_(spec.seed) {}
+    : bits_(spec.bits), epoch_(0), id_(spec.seed) {}
 
 std::uint32_t TrngSource::next() {
-  return static_cast<std::uint32_t>(gen_()) & ((1u << bits_) - 1u);
+  if (!gen_.has_value()) gen_.emplace(id_);
+  return static_cast<std::uint32_t>((*gen_)()) & ((1u << bits_) - 1u);
 }
 
 void TrngSource::reset() {
@@ -41,7 +42,7 @@ void TrngSource::reset() {
   // remains reproducible run-to-run.
   ++epoch_;
   std::seed_seq seq{id_, epoch_, 0x9E3779B9u};
-  gen_.seed(seq);
+  gen_.emplace(seq);
 }
 
 std::unique_ptr<RngSource> TrngSource::clone() const {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 
 #include "sc/lfsr.hpp"
@@ -83,6 +84,9 @@ class LfsrSource final : public RngSource {
 // True-random source, modeled with mt19937 (the paper itself substitutes
 // PyTorch's `rand` for a hardware TRNG). `reset()` advances to a fresh
 // sequence so repeated runs see different randomness, as real TRNGs do.
+// The engine is seeded once per sequence: from the spec's seed on the first
+// next() when no reset() came first, else by the reset. Stream generation
+// resets before every stream, so it never pays for the spec seeding.
 class TrngSource final : public RngSource {
  public:
   explicit TrngSource(const SeedSpec& spec);
@@ -98,7 +102,7 @@ class TrngSource final : public RngSource {
   unsigned bits_;
   std::uint32_t epoch_;
   std::uint32_t id_;
-  std::mt19937 gen_;
+  std::optional<std::mt19937> gen_;  // empty until the first next()/reset()
 };
 
 // Simple ramp counter 0,1,...,2^n-1 (deterministic unary generation; useful

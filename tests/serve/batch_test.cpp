@@ -86,12 +86,13 @@ TEST(ServeOptionsBatch, KnobsParseAndFailClosed) {
   EXPECT_FALSE(bad.validate().ok());
 }
 
-// Preparations run so far: machine.weight_streams takes one sample per
-// prepare_conv.
+// Preparations run so far: each prepare_conv either generates its weight
+// bank (one machine.weight_streams sample) or takes it from the weight-bank
+// cache (one machine.weight_bank_hits).
 std::int64_t prepares() {
-  return telemetry::MetricsRegistry::instance()
-      .histogram("machine.weight_streams")
-      .count();
+  auto& metrics = telemetry::MetricsRegistry::instance();
+  return metrics.histogram("machine.weight_streams").count() +
+         metrics.counter("machine.weight_bank_hits").value();
 }
 
 // Machine rungs (native, pbw, fxp — those that prepare a conv) of `hw`'s
