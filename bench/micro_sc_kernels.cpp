@@ -227,13 +227,12 @@ double measure_streams_per_s(bool progressive, bool use_table) {
 
 // ---- sc::simd kernel rates, scalar vs the best vector backend ------------
 
-enum class SimdKernel { kPopcount, kAndPopcount, kMacPopcount, kOrAndInto };
+enum class SimdKernel { kPopcount, kAndPopcount, kOrAndInto };
 
 const char* kernel_name(SimdKernel k) {
   switch (k) {
     case SimdKernel::kPopcount: return "popcount";
     case SimdKernel::kAndPopcount: return "and_popcount";
-    case SimdKernel::kMacPopcount: return "mac_popcount";
     case SimdKernel::kOrAndInto: return "or_and_into";
   }
   return "?";
@@ -250,11 +249,9 @@ double measure_kernel_words_per_s(geo::sc::simd::Backend backend,
   constexpr std::size_t kWpl = 64;
   constexpr std::size_t kRows = 8;
   std::mt19937_64 rng(42);
-  std::vector<std::uint64_t> a(kRows * kWpl), wp(kRows * kWpl),
-      wn(kRows * kWpl), dst(kWpl, 0);
+  std::vector<std::uint64_t> a(kRows * kWpl), wp(kRows * kWpl), dst(kWpl, 0);
   for (auto& x : a) x = rng();
   for (auto& x : wp) x = rng();
-  for (auto& x : wn) x = rng();
   std::uint64_t sink = 0;
   auto one = [&](std::size_t i) {
     const std::size_t row = (i % kRows) * kWpl;
@@ -265,10 +262,6 @@ double measure_kernel_words_per_s(geo::sc::simd::Backend backend,
       case SimdKernel::kAndPopcount:
         sink += geo::sc::simd::and_popcount(a.data() + row, wp.data() + row,
                                             kWpl);
-        break;
-      case SimdKernel::kMacPopcount:
-        sink += static_cast<std::uint64_t>(geo::sc::simd::mac_popcount(
-            a.data() + row, wp.data() + row, wn.data() + row, kWpl));
         break;
       case SimdKernel::kOrAndInto:
         geo::sc::simd::or_and_into(dst.data(), a.data() + row,
@@ -336,7 +329,7 @@ int main(int argc, char** argv) {
   // SIMD section: per-kernel scalar-vs-vector rates on a MAC-row working
   // set (wpl = 64). The regression gate's *speedup* rule keeps the measured
   // ratios from collapsing; the *_per_s rates are informational (wall
-  // clock). The tentpole acceptance metric is simd.mac_popcount_speedup.
+  // clock).
   using geo::sc::simd::Backend;
   const Backend best = geo::sc::simd::detect_best();
   report.set("simd.vector_backend_available",
@@ -344,7 +337,7 @@ int main(int argc, char** argv) {
   report.set("simd.words_per_row", 64.0);
   for (const SimdKernel k :
        {SimdKernel::kPopcount, SimdKernel::kAndPopcount,
-        SimdKernel::kMacPopcount, SimdKernel::kOrAndInto}) {
+        SimdKernel::kOrAndInto}) {
     const double scalar_rate =
         measure_kernel_words_per_s(Backend::kScalar, k);
     const double simd_rate = measure_kernel_words_per_s(best, k);

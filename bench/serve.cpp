@@ -8,15 +8,9 @@
 //             service-time split per offered-load point
 //   overload  single-threaded burst against a paused server: the admission
 //             ledger (admitted/steered/shed) is exact and regression-gated
-//   batch     the same paused burst served at batch=1 vs batch=8 on a
-//             prepare-dominated head layer: coalesced dispatch must keep
-//             outputs byte-identical and is expected to hold >= 1.5x
-//             request throughput (batch.batch_speedup, gated direction -1)
 //   chaos     every replica runs a persistent defect fault model; every
 //             request must still complete (degraded is acceptable, failed
-//             is not) — the bench exits nonzero otherwise. Honors
-//             GEO_SERVE_BATCH so the CI chaos-soak matrix exercises the
-//             batched dispatch path under faults.
+//             is not) — the bench exits nonzero otherwise.
 //
 // Wall-clock latencies (*_us) and throughput (*per_s) are excluded from the
 // bench-diff gate; the request-accounting scalars are deterministic at any
@@ -58,9 +52,7 @@ struct Workload {
   ConvShape shape;
   std::vector<float> weights, input, scale, shift;
 
-  explicit Workload(
-      ConvShape s = ConvShape::conv("serve", 4, 6, 5, 3, 1, false))
-      : shape(std::move(s)) {
+  Workload() : shape(ConvShape::conv("serve", 4, 6, 5, 3, 1, false)) {
     const auto seed = static_cast<unsigned>(
         geo::core::seed_or(7, "bench.serve") & 0x7FFFFFFFu);
     std::mt19937 rng(seed);
@@ -269,96 +261,6 @@ int main() {
     report.set("overload.failed", static_cast<double>(failed));
   }
 
-  // --- batch: amortized preparation across coalesced dispatches -------------
-  // A prepare-dominated head layer (16 output channels, 5x5 kernel, one
-  // output pixel): weight-stream generation dwarfs per-request execution,
-  // so coalescing a paused burst into shared-preparation batches amortizes
-  // the dominant cost. One replica and a paused burst make the occupancy
-  // and request accounting exact; the speedup scalar is wall-clock and
-  // gated loosely in the shrink direction only (*batch_speedup*, -1).
-  {
-    const Workload head(ConvShape::conv("serve_head", 8, 5, 16, 5, 0, false));
-    const int burst = 32;
-    const int batch_size = 8;
-
-    struct BurstRun {
-      double wall_s = 0.0;
-      ServeStats stats;
-      std::vector<decltype(geo::arch::MachineResult{}.activations)> outputs;
-      bool ok = true;
-    };
-    auto run_burst = [&](int batch) {
-      ServeOptions o;
-      o.replicas = 1;
-      o.queue_capacity = 64;
-      o.high_water = 64;
-      o.tenant_quota = 64;
-      o.retry_backoff_us = 0;
-      o.batch = batch;
-      InferenceServer server(hw, o);
-      shield(server);
-      server.pause();
-      std::vector<std::future<Response>> futures;
-      for (int i = 0; i < burst; ++i) {
-        auto fut = server.submit(head.request("batch"));
-        if (fut.ok()) futures.push_back(std::move(*fut));
-      }
-      BurstRun out;
-      out.ok = static_cast<int>(futures.size()) == burst;
-      const auto t0 = std::chrono::steady_clock::now();
-      server.resume();
-      for (auto& fut : futures) {
-        Response r = fut.get();
-        if (!r.status.ok()) out.ok = false;
-        out.outputs.push_back(std::move(r.result.activations));
-      }
-      out.wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      out.stats = server.stats();
-      return out;
-    };
-
-    const BurstRun solo = run_burst(1);
-    const BurstRun coalesced = run_burst(batch_size);
-    const bool identical =
-        solo.ok && coalesced.ok && solo.outputs == coalesced.outputs;
-    if (!identical || solo.stats.failed != 0 || coalesced.stats.failed != 0)
-      contract_ok = false;
-
-    const double solo_per_s = solo.wall_s > 0.0 ? burst / solo.wall_s : 0.0;
-    const double coalesced_per_s =
-        coalesced.wall_s > 0.0 ? burst / coalesced.wall_s : 0.0;
-    const double speedup =
-        coalesced.wall_s > 0.0 ? solo.wall_s / coalesced.wall_s : 0.0;
-    const double occupancy =
-        coalesced.stats.batches > 0
-            ? static_cast<double>(coalesced.stats.batched_requests) /
-                  static_cast<double>(coalesced.stats.batches)
-            : 1.0;
-
-    Table batch_table({"batch", "requests", "batches", "occupancy",
-                       "req/s", "speedup", "identical"});
-    batch_table.add_row({"1", std::to_string(burst), "0", "1.0",
-                         fmt(solo_per_s), "1.00", "yes"});
-    batch_table.add_row(
-        {std::to_string(batch_size), std::to_string(burst),
-         std::to_string(coalesced.stats.batches), fmt(occupancy),
-         fmt(coalesced_per_s), fmt(speedup, "%.2f"),
-         identical ? "yes" : "NO"});
-    std::printf("\nbatched dispatch (head layer, paused burst, 1 replica)\n");
-    batch_table.print();
-    report.add_table("batch_table", batch_table);
-
-    report.set("batch.requests", static_cast<double>(burst));
-    report.set("batch.size", static_cast<double>(batch_size));
-    report.set("batch.occupancy", occupancy);
-    report.set("batch.unbatched_per_s", solo_per_s);
-    report.set("batch.batched_per_s", coalesced_per_s);
-    report.set("batch.batch_speedup", speedup);
-    report.set("batch.outputs_identical", identical ? 1.0 : 0.0);
-  }
-
   // --- chaos: persistent faults on every replica ----------------------------
   // The serving contract under GEO_FAULTS-class injection: every request
   // completes (degraded, not failed). Request accounting is deterministic —
@@ -374,10 +276,6 @@ int main() {
     o.retry_backoff_us = 0;
     o.breaker_strikes = 2;
     o.probe_after = 4;
-    // The CI chaos-soak matrix sets GEO_SERVE_BATCH so this burst exercises
-    // the coalesced dispatch (and its per-item demotion) under faults; the
-    // request accounting below is identical at any batch size.
-    o.batch = std::clamp(geo::bench::env_int("GEO_SERVE_BATCH", 1), 1, 64);
     InferenceServer server(hw, o);
     for (int r = 0; r < o.replicas; ++r)
       server.set_replica_fault(r, chaos_fault());

@@ -226,9 +226,6 @@ struct ConvExecution::Impl {
   std::vector<float> bn_scale, bn_shift;
   fault::FaultModel* fm = nullptr;
   std::int64_t fault_retry0 = 0;
-  // ECC retry cycles the weight-SRAM reads charged at prepare time. Every
-  // run's ledger carries them, a rebound one included.
-  std::int64_t weight_retry = 0;
 
   std::size_t wpl = 0;
   std::int64_t xy = 0, M = 0;
@@ -258,7 +255,6 @@ struct ConvExecution::Impl {
   telemetry::Histogram* pass_hist = nullptr;
   telemetry::Histogram* mac_hist = nullptr;
   telemetry::Counter* act_gen_counter = nullptr;
-  bool finished = false;
 
   const std::uint64_t* act_stream(std::size_t idx);
   template <typename Fn>
@@ -463,7 +459,6 @@ MachineResult ConvExecution::Impl::finish() {
   // runtime analogue); the ledger republishes the attr.* gauges/counters.
   AttributionLedger::instance().record(
       shape.name.empty() ? "conv" : shape.name, st);
-  finished = true;
   run_timer.reset();  // close the machine.run_conv span
   return std::move(result);
 }
@@ -549,35 +544,6 @@ void ConvExecution::add_io_stall_cycles(std::int64_t cycles) {
 const nn::ScLayerConfig& ConvExecution::config() const { return impl_->cfg; }
 
 MachineResult ConvExecution::finish() { return impl_->finish(); }
-
-geo::Status ConvExecution::rebind_input(std::span<const float> input) {
-  Impl& im = *impl_;
-  if (input.size() != static_cast<std::size_t>(im.shape.activations()))
-    return geo::Status::invalid_argument(
-        "GeoMachine: rebind input size mismatch: got " +
-        std::to_string(input.size()) + ", shape wants " +
-        std::to_string(im.shape.activations()));
-  im.input = input;
-  // Empty the lazy activation cache: every slot regenerates from the new
-  // input on first use. The buffers themselves are kept (stream generation
-  // zero-fills its destination before writing), so a rebind allocates only
-  // the per-run result vectors.
-  for (std::size_t i = 0; i < input.size(); ++i)
-    im.act_ready[i].store(0, std::memory_order_relaxed);
-  const auto outputs = static_cast<std::size_t>(im.shape.outputs());
-  im.result.counters.assign(outputs, 0);
-  im.result.activations.assign(outputs, 0);
-  im.result.stats = MachineStats{};
-  // Re-baseline the ECC retry charge: this run's finish() charges the
-  // weight reads' retries plus those its own activation reads incur, not
-  // the previous member's.
-  im.fault_retry0 =
-      im.fm != nullptr ? im.fm->stats().sram_retry_cycles - im.weight_retry
-                       : 0;
-  im.finished = false;
-  im.run_timer.emplace("machine.run_conv", "machine");
-  return geo::Status();
-}
 
 // ----------------------------------------------------------------- machine
 
@@ -711,8 +677,6 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
                          cfg, shape, weights, impl->use_stream_table)
                    : generate_bank(cfg, shape, *impl->seeds, weights, fm,
                                    impl->use_stream_table);
-  if (fm != nullptr)
-    impl->weight_retry = fm->stats().sram_retry_cycles - impl->fault_retry0;
 
   // ---- activation streams, generated lazily per buffer slot -------------
   auto& metrics = telemetry::MetricsRegistry::instance();

@@ -208,26 +208,8 @@ class ConvExecution {
   const nn::ScLayerConfig& config() const;
 
   // BN + bounded ReLU write-back, ledger reconciliation, telemetry mirror.
-  // Call at most once per (prepare|rebind); the result is consumed, but the
-  // prepared weight streams survive — rebind_input() re-arms the execution
-  // for the next batch member.
+  // Call at most once; the result is consumed.
   MachineResult finish();
-
-  // Re-arms the execution for a new input snapshot of the same layer: the
-  // prepared weight streams, pass plan, and seed layout are kept (the
-  // expensive per-layer setup a batch amortizes), while every
-  // per-run artifact is reset — the lazy activation-stream cache, partial
-  // sums, stats, the fault-retry baseline, and the run timer. After a
-  // rebind, running every tile and finishing produces counters and
-  // activations byte-identical to a fresh prepare_conv on `input`, and stats
-  // equal to it (the weight reads' ECC retry charge carries over).
-  // Valid after finish(), after a cancelled/abandoned partial run, or
-  // immediately after prepare. The span must outlive the execution. Safe
-  // only with no run_tile in flight. Byte-identity of the reused weight
-  // streams holds when no fault model is active or the model is a defect
-  // model (per-site pure draws); callers must not rebind under a transient
-  // fault model — regeneration there draws fresh per-site sequences.
-  geo::Status rebind_input(std::span<const float> input);
 
  private:
   friend class GeoMachine;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
 #include <optional>
 #include <sstream>
 #include <unordered_set>
@@ -304,8 +303,7 @@ struct RungWalkStats {
 // `outcome`. Returns true when every tile passed, false when a tile drained
 // its retry budget (the rung failed; ws.abandoned holds the cycles the
 // serial schedule would have burned by then), or kDeadlineExceeded when
-// `cancel` fired at a tile boundary (the partial run is abandoned in place;
-// the execution stays reusable — rebind or destroy it).
+// `cancel` fired at a tile boundary (the partial run is abandoned in place).
 geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
                                     const arch::ConvShape& shape,
                                     const RetryPolicy& policy, Rung rung,
@@ -449,185 +447,109 @@ geo::StatusOr<arch::MachineResult> ResilientExecutor::run_conv(
     std::span<const float> input, std::span<const float> bn_scale,
     std::span<const float> bn_shift, std::uint64_t layer_salt,
     std::string label, RunOptions options) {
-  const BatchItem item{input, std::move(label), options.cancel,
-                       options.io_stall_cycles};
-  return std::move(run_conv_batch(shape, weights, bn_scale, bn_shift,
-                                  layer_salt, {&item, 1}, options.start)
-                       .front()
-                       .result);
-}
-
-std::vector<BatchItemResult> ResilientExecutor::run_conv_batch(
-    const arch::ConvShape& shape, std::span<const float> weights,
-    std::span<const float> bn_scale, std::span<const float> bn_shift,
-    std::uint64_t layer_salt, std::span<const BatchItem> items, Rung start) {
   auto& metrics = telemetry::MetricsRegistry::instance();
   auto& journal = telemetry::Journal::instance();
+  LayerOutcome outcome;
+  outcome.layer = label.empty() ? shape.name : std::move(label);
 
   // The degradation ladder for this machine: whatever accumulation the
   // hardware is configured with, then progressively more robust modes, and
   // finally the fault-free software reference (which cannot fail). A
-  // non-native `start` (the serving layer's overload steering) drops the
-  // rungs above it.
+  // non-native `options.start` (the serving layer's overload steering)
+  // drops the rungs above it.
   std::vector<Rung> ladder;
-  if (start == Rung::kNative) ladder.push_back(Rung::kNative);
-  if (start <= Rung::kPbw && hw_.accum != nn::AccumMode::kPbw &&
+  if (options.start == Rung::kNative) ladder.push_back(Rung::kNative);
+  if (options.start <= Rung::kPbw && hw_.accum != nn::AccumMode::kPbw &&
       hw_.accum != nn::AccumMode::kFxp)
     ladder.push_back(Rung::kPbw);
-  if (start <= Rung::kFxp && hw_.accum != nn::AccumMode::kFxp)
+  if (options.start <= Rung::kFxp && hw_.accum != nn::AccumMode::kFxp)
     ladder.push_back(Rung::kFxp);
   ladder.push_back(Rung::kReference);
 
-  std::vector<BatchItemResult> out;
-  std::vector<LayerOutcome> outcomes(items.size());
-  out.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    out.push_back({geo::Status::internal(
-        "resilience: degradation ladder fell through")});
-    outcomes[i].layer = items[i].label.empty() ? shape.name : items[i].label;
-  }
+  for (const Rung rung : ladder) {
+    if (options.cancel != nullptr && options.cancel->cancelled())
+      return cancelled_status(outcome.layer, "rung-entry");
+    outcome.rung = rung;
+    outcome.degraded = rung != Rung::kNative;
+    arch::HwConfig hw = hw_;
+    if (rung == Rung::kPbw) hw.accum = nn::AccumMode::kPbw;
+    if (rung == Rung::kFxp) hw.accum = nn::AccumMode::kFxp;
+    arch::GeoMachine machine(hw);
 
-  // Walks `pending` down the ladder together. Each machine rung is prepared
-  // once, on the first member that reaches it, and rebound to every later
-  // one; the members whose walk drains a retry budget or whose ledger
-  // misses move down to the next rung as the new group.
-  const auto run_group = [&](std::vector<std::size_t> pending) {
-    if (pending.size() > 1 && journal.enabled())
-      journal.record("resilience.batch", shape.name,
-                     {{"items", static_cast<double>(pending.size())}},
-                     to_string(start));
-    for (const Rung rung : ladder) {
-      arch::HwConfig hw = hw_;
-      if (rung == Rung::kPbw) hw.accum = nn::AccumMode::kPbw;
-      if (rung == Rung::kFxp) hw.accum = nn::AccumMode::kFxp;
-      arch::GeoMachine machine(hw);
-      std::optional<arch::ConvExecution> exec;
-      std::vector<std::size_t> failed;
-      for (const std::size_t i : pending) {
-        const BatchItem& item = items[i];
-        LayerOutcome& outcome = outcomes[i];
-        geo::StatusOr<arch::MachineResult>& result = out[i].result;
-        // A cancelled member stops here and appends no outcome.
-        if (item.cancel != nullptr && item.cancel->cancelled()) {
-          result = cancelled_status(outcome.layer, "rung-entry");
-          continue;
-        }
-        outcome.rung = rung;
-        outcome.degraded = rung != Rung::kNative;
+    arch::MachineResult accepted;
+    if (rung == Rung::kReference) {
+      // Bottom rung: bit-exact fixed-point software reference, computed
+      // outside every fault hook. Shares apply_bn_relu with the machine so
+      // the write-back rounding is identical; its zeroed machine stats
+      // reconcile trivially.
+      if (auto s = machine.validate_conv(shape, weights, input, bn_scale,
+                                         bn_shift);
+          !s.ok())
+        return s;
+      const nn::ScLayerConfig cfg = machine.layer_config(shape, layer_salt);
+      accepted.counters = nn::fxp_reference_counters(
+          shape, weights, input, cfg.value_bits, cfg.stream_len);
+      accepted.activations.resize(accepted.counters.size());
+      const std::int64_t per_channel =
+          static_cast<std::int64_t>(shape.hout()) * shape.wout();
+      arch::apply_bn_relu(accepted.counters, bn_scale, bn_shift,
+                          cfg.stream_len, per_channel, accepted.activations);
+      outcome.tiles = 0;  // no machine tiles; the whole layer is one unit
+    } else {
+      auto prepared = machine.prepare_conv(shape, weights, input, bn_scale,
+                                           bn_shift, layer_salt);
+      if (!prepared.ok()) return prepared.status();
+      arch::ConvExecution exec = std::move(prepared).value();
 
-        arch::MachineResult accepted;
-        if (rung == Rung::kReference) {
-          // Bottom rung: bit-exact fixed-point software reference, computed
-          // outside every fault hook. Shares apply_bn_relu with the machine
-          // so the write-back rounding is identical; its zeroed machine
-          // stats reconcile trivially.
-          if (auto s = machine.validate_conv(shape, weights, item.input,
-                                             bn_scale, bn_shift);
-              !s.ok()) {
-            result = std::move(s);
-            continue;
-          }
-          const nn::ScLayerConfig cfg = machine.layer_config(shape, layer_salt);
-          accepted.counters = nn::fxp_reference_counters(
-              shape, weights, item.input, cfg.value_bits, cfg.stream_len);
-          accepted.activations.resize(accepted.counters.size());
-          const std::int64_t per_channel =
-              static_cast<std::int64_t>(shape.hout()) * shape.wout();
-          arch::apply_bn_relu(accepted.counters, bn_scale, bn_shift,
-                              cfg.stream_len, per_channel,
-                              accepted.activations);
-          outcome.tiles = 0;  // no machine tiles; the whole layer is one unit
-        } else {
-          if (!exec.has_value()) {
-            auto prepared = machine.prepare_conv(shape, weights, item.input,
-                                                 bn_scale, bn_shift,
-                                                 layer_salt);
-            if (!prepared.ok()) {
-              result = prepared.status();
-              continue;
-            }
-            exec.emplace(std::move(prepared).value());
-          } else if (auto s = exec->rebind_input(item.input); !s.ok()) {
-            result = std::move(s);
-            continue;
-          }
-
-          RungWalkStats ws;
-          auto walked = walk_rung_tiles(*exec, shape, policy_, rung,
-                                        item.cancel, outcome, ws);
-          if (!walked.ok()) {
-            // Cancelled mid-walk: abandoned in place; the execution
-            // rebinds cleanly for the next member.
-            result = walked.status();
-            continue;
-          }
-          if (!*walked) {
-            outcome.abandoned_cycles += ws.abandoned;
-            if (journal.enabled())
-              journal.record(
-                  "resilience.degrade", outcome.layer,
-                  {{"retries", static_cast<double>(outcome.retries)},
-                   {"abandoned_cycles",
-                    static_cast<double>(outcome.abandoned_cycles)}},
-                  to_string(rung));
-            failed.push_back(i);
-            continue;
-          }
-
-          // The store's non-overlapped block-load wait belongs to the
-          // accepted execution (abandoned rungs discard their ledgers),
-          // charged into the io sub-bucket so attribution lands it in the
-          // memory bucket.
-          if (item.io_stall_cycles > 0)
-            exec->add_io_stall_cycles(item.io_stall_cycles);
-          const std::int64_t tiles = exec->tile_count();
-          accepted = exec->finish();
-          if (!accepted.stats.ledger_ok) {
-            // An unreconciled ledger is a detection: descend.
-            outcome.detections[static_cast<std::size_t>(Detect::kLedger)] += 1;
-            outcome.abandoned_cycles += accepted.stats.total_cycles;
-            if (journal.enabled())
-              journal.record("resilience.degrade", outcome.layer, {},
-                             "ledger-mismatch");
-            failed.push_back(i);
-            continue;
-          }
-          outcome.tiles = tiles;
-          outcome.backoff_cycles += ws.backoff;
-        }
-
-        outcome.ledger_ok = true;
-        if (journal.enabled() &&
-            (outcome.degraded || outcome.tiles_retried > 0))
-          journal.record("resilience.accept", outcome.layer,
-                         {{"tiles_retried",
-                           static_cast<double>(outcome.tiles_retried)},
-                          {"retries", static_cast<double>(outcome.retries)}},
+      RungWalkStats ws;
+      auto walked = walk_rung_tiles(exec, shape, policy_, rung,
+                                    options.cancel, outcome, ws);
+      if (!walked.ok()) return walked.status();
+      if (!*walked) {
+        outcome.abandoned_cycles += ws.abandoned;
+        if (journal.enabled())
+          journal.record("resilience.degrade", outcome.layer,
+                         {{"retries", static_cast<double>(outcome.retries)},
+                          {"abandoned_cycles",
+                           static_cast<double>(outcome.abandoned_cycles)}},
                          to_string(rung));
-        if (outcome.degraded) metrics.counter("fault.degraded").add(1);
-        out[i] = {std::move(accepted), outcome.degraded};
+        continue;
       }
-      pending = std::move(failed);
-      if (pending.empty()) return;
-    }
-  };
 
-  // Sharing a preparation is sound when reused weight streams are
-  // byte-identical to regenerated ones: no fault model, or a defect model
-  // (per-site pure draws). A transient model advances per-site sequences on
-  // every generation, so there each member walks the ladder alone.
-  if (fault::FaultModel* fm = fault::active();
-      fm != nullptr && fm->config().transient) {
-    for (std::size_t i = 0; i < items.size(); ++i) run_group({i});
-  } else {
-    std::vector<std::size_t> all(items.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    run_group(std::move(all));
+      // The store's non-overlapped block-load wait belongs to the accepted
+      // execution (abandoned rungs discard their ledgers), charged into the
+      // io sub-bucket so attribution lands it in the memory bucket.
+      if (options.io_stall_cycles > 0)
+        exec.add_io_stall_cycles(options.io_stall_cycles);
+      const std::int64_t tiles = exec.tile_count();
+      accepted = exec.finish();
+      if (!accepted.stats.ledger_ok) {
+        // An unreconciled ledger is a detection: descend.
+        outcome.detections[static_cast<std::size_t>(Detect::kLedger)] += 1;
+        outcome.abandoned_cycles += accepted.stats.total_cycles;
+        if (journal.enabled())
+          journal.record("resilience.degrade", outcome.layer, {},
+                         "ledger-mismatch");
+        continue;
+      }
+      outcome.tiles = tiles;
+      outcome.backoff_cycles += ws.backoff;
+    }
+
+    outcome.ledger_ok = true;
+    if (journal.enabled() && (outcome.degraded || outcome.tiles_retried > 0))
+      journal.record("resilience.accept", outcome.layer,
+                     {{"tiles_retried",
+                       static_cast<double>(outcome.tiles_retried)},
+                      {"retries", static_cast<double>(outcome.retries)}},
+                     to_string(rung));
+    if (outcome.degraded) metrics.counter("fault.degraded").add(1);
+    report_.layers.push_back(std::move(outcome));
+    return accepted;
   }
 
-  for (std::size_t i = 0; i < items.size(); ++i)
-    if (out[i].result.ok()) report_.layers.push_back(std::move(outcomes[i]));
-  return out;
+  // Unreachable: the ladder always ends in kReference, which returns.
+  return geo::Status::internal("resilience: degradation ladder fell through");
 }
 
 }  // namespace geo::resilience

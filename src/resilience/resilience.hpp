@@ -146,22 +146,6 @@ struct RunOptions {
   std::int64_t io_stall_cycles = 0;
 };
 
-// One member of a batched layer dispatch (run_conv_batch): same layer
-// (shape/weights/BN/salt), a private input snapshot, and per-request
-// controls (see RunOptions). Spans must outlive the call.
-struct BatchItem {
-  std::span<const float> input;
-  std::string label;                     // journal/report label
-  exec::CancelToken* cancel = nullptr;   // polled at tile boundaries
-  std::int64_t io_stall_cycles = 0;      // weight-store pin wait (see RunOptions)
-};
-
-// Per-item result of run_conv_batch, in item order.
-struct BatchItemResult {
-  geo::StatusOr<arch::MachineResult> result;
-  bool degraded = false;  // accepted below kNative (meaningful when ok())
-};
-
 // Drives convolution layers through detect -> retry -> degrade. One executor
 // per network pass; outcomes accumulate in report() in call order.
 class ResilientExecutor {
@@ -170,34 +154,20 @@ class ResilientExecutor {
                              RetryPolicy policy = RetryPolicy::from_env());
 
   // Executes one layer like GeoMachine::try_run_conv, but fault-tolerantly:
-  // run_conv_batch with one item. Returns the accepted rung's result
-  // (reference-rung results carry zeroed machine stats; their ledger is
-  // trivially reconciled). Non-degraded executions are bit-identical to
-  // GeoMachine::try_run_conv under the same fault model; degraded-to-
-  // reference layers match nn::fxp_reference_counters exactly.
+  // the degradation ladder. The input walks the rungs from options.start
+  // down, each machine rung prepared once; the first rung whose tiles pass
+  // and whose ledger reconciles is accepted, and the reference rung always
+  // is. Returns the accepted rung's result (reference-rung results carry
+  // zeroed machine stats; their ledger is trivially reconciled) and appends
+  // its outcome to report() (a cancelled or invalid layer appends nothing).
+  // Non-degraded executions are bit-identical to GeoMachine::try_run_conv
+  // under the same fault model; degraded-to-reference layers match
+  // nn::fxp_reference_counters exactly.
   geo::StatusOr<arch::MachineResult> run_conv(
       const arch::ConvShape& shape, std::span<const float> weights,
       std::span<const float> input, std::span<const float> bn_scale,
       std::span<const float> bn_shift, std::uint64_t layer_salt,
       std::string label = "", RunOptions options = {});
-
-  // Executes one layer for a batch of inputs; the only implementation of
-  // the degradation ladder. The items walk the rungs as one group: each
-  // machine rung is prepared once, on the first item still pending, and
-  // rebound to the others (ConvExecution::rebind_input). An item whose
-  // tiles pass and whose ledger reconciles is accepted; the items that
-  // drain a retry budget or miss their ledger move down to the next rung
-  // together, and the reference rung computes whatever is left. Under a
-  // transient fault model (regeneration draws fresh per-site sequences)
-  // each item walks the ladder alone. Per-item results and outcomes are
-  // identical to a solo run_conv on the same input; outcomes append to
-  // report() in item order (cancelled or invalid items append nothing).
-  // `start` mirrors RunOptions::start for every item.
-  std::vector<BatchItemResult> run_conv_batch(
-      const arch::ConvShape& shape, std::span<const float> weights,
-      std::span<const float> bn_scale, std::span<const float> bn_shift,
-      std::uint64_t layer_salt, std::span<const BatchItem> items,
-      Rung start = Rung::kNative);
 
   const RetryPolicy& policy() const noexcept { return policy_; }
   const ResilienceReport& report() const noexcept { return report_; }

@@ -31,8 +31,6 @@ struct Ops {
                                 std::size_t);
   std::uint64_t (*or_popcount)(const std::uint64_t*, const std::uint64_t*,
                                std::size_t);
-  std::int64_t (*mac_popcount)(const std::uint64_t*, const std::uint64_t*,
-                               const std::uint64_t*, std::size_t);
   void (*and_into)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*or_into)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*xor_into)(std::uint64_t*, const std::uint64_t*, std::size_t);
@@ -71,16 +69,6 @@ std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
   return c;
 }
 
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) {
-  std::int64_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    c += std::popcount(a[i] & wp[i]);
-    c -= std::popcount(a[i] & wn[i]);
-  }
-  return c;
-}
-
 void and_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] &= src[i];
 }
@@ -109,10 +97,9 @@ void popcount_rows(std::uint64_t* out, const std::uint64_t* w,
   for (std::size_t r = 0; r < rows; ++r, w += wpl) out[r] = popcount(w, wpl);
 }
 
-constexpr Ops kOps = {popcount,      and_popcount, or_popcount,
-                      mac_popcount,  and_into,     or_into,
-                      xor_into,      or_and_into,  or_and_rows,
-                      popcount_rows};
+constexpr Ops kOps = {popcount,    and_popcount, or_popcount,
+                      and_into,    or_into,      xor_into,
+                      or_and_into, or_and_rows,  popcount_rows};
 
 }  // namespace scalar
 
@@ -206,37 +193,6 @@ __attribute__((target("avx2"))) std::uint64_t or_popcount(
   std::uint64_t out = hsum_epi64(total);
   for (; i < n; ++i)
     out += static_cast<std::uint64_t>(std::popcount(a[i] | b[i]));
-  return out;
-}
-
-__attribute__((target("avx2"))) std::int64_t mac_popcount(
-    const std::uint64_t* a, const std::uint64_t* wp, const std::uint64_t* wn,
-    std::size_t n) {
-  __m256i pos = _mm256_setzero_si256();
-  __m256i neg = _mm256_setzero_si256();
-  std::size_t i = 0;
-  while (n - i >= 4) {
-    const std::size_t block = std::min<std::size_t>((n - i) / 4, 31);
-    __m256i accp = _mm256_setzero_si256();
-    __m256i accn = _mm256_setzero_si256();
-    for (std::size_t k = 0; k < block; ++k, i += 4) {
-      const __m256i act = loadu(a + i);
-      accp = _mm256_add_epi8(
-          accp, nibble_counts(_mm256_and_si256(act, loadu(wp + i))));
-      accn = _mm256_add_epi8(
-          accn, nibble_counts(_mm256_and_si256(act, loadu(wn + i))));
-    }
-    pos = _mm256_add_epi64(pos,
-                           _mm256_sad_epu8(accp, _mm256_setzero_si256()));
-    neg = _mm256_add_epi64(neg,
-                           _mm256_sad_epu8(accn, _mm256_setzero_si256()));
-  }
-  std::int64_t out = static_cast<std::int64_t>(hsum_epi64(pos)) -
-                     static_cast<std::int64_t>(hsum_epi64(neg));
-  for (; i < n; ++i) {
-    out += std::popcount(a[i] & wp[i]);
-    out -= std::popcount(a[i] & wn[i]);
-  }
   return out;
 }
 
@@ -336,10 +292,9 @@ __attribute__((target("avx2"))) void popcount_rows(std::uint64_t* out,
   scalar::popcount_rows(out + i / wpl, w + i, (n - i) / wpl, wpl);
 }
 
-constexpr Ops kOps = {popcount,      and_popcount, or_popcount,
-                      mac_popcount,  and_into,     or_into,
-                      xor_into,      or_and_into,  or_and_rows,
-                      popcount_rows};
+constexpr Ops kOps = {popcount,    and_popcount, or_popcount,
+                      and_into,    or_into,      xor_into,
+                      or_and_into, or_and_rows,  popcount_rows};
 
 }  // namespace avx2
 
@@ -390,24 +345,6 @@ std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
         vreinterpretq_u8_u64(vorrq_u64(vld1q_u64(a + i), vld1q_u64(b + i))));
   for (; i < n; ++i)
     out += static_cast<std::uint64_t>(std::popcount(a[i] | b[i]));
-  return out;
-}
-
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) {
-  std::int64_t out = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t act = vld1q_u64(a + i);
-    out += static_cast<std::int64_t>(
-        fold_count(vreinterpretq_u8_u64(vandq_u64(act, vld1q_u64(wp + i)))));
-    out -= static_cast<std::int64_t>(
-        fold_count(vreinterpretq_u8_u64(vandq_u64(act, vld1q_u64(wn + i)))));
-  }
-  for (; i < n; ++i) {
-    out += std::popcount(a[i] & wp[i]);
-    out -= std::popcount(a[i] & wn[i]);
-  }
   return out;
 }
 
@@ -476,10 +413,9 @@ void popcount_rows(std::uint64_t* out, const std::uint64_t* w,
     out[r] = static_cast<std::uint64_t>(std::popcount(w[r]));
 }
 
-constexpr Ops kOps = {popcount,      and_popcount, or_popcount,
-                      mac_popcount,  and_into,     or_into,
-                      xor_into,      or_and_into,  or_and_rows,
-                      popcount_rows};
+constexpr Ops kOps = {popcount,    and_popcount, or_popcount,
+                      and_into,    or_into,      xor_into,
+                      or_and_into, or_and_rows,  popcount_rows};
 
 }  // namespace neon
 
@@ -615,11 +551,6 @@ std::uint64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
 std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
                           std::size_t n) noexcept {
   return ops().or_popcount(a, b, n);
-}
-
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) noexcept {
-  return ops().mac_popcount(a, wp, wn, n);
 }
 
 void and_into(std::uint64_t* dst, const std::uint64_t* src,

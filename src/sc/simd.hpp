@@ -58,11 +58,6 @@ std::uint64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
 std::uint64_t or_popcount(const std::uint64_t* a, const std::uint64_t* b,
                           std::size_t n) noexcept;
 
-// The signed MAC reduction: popcount(a & wp) - popcount(a & wn) over n
-// words, one pass over `a` (split-unipolar positive/negative weight pair).
-std::int64_t mac_popcount(const std::uint64_t* a, const std::uint64_t* wp,
-                          const std::uint64_t* wn, std::size_t n) noexcept;
-
 // ---- block ops -----------------------------------------------------------
 
 void and_into(std::uint64_t* dst, const std::uint64_t* src,

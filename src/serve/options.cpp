@@ -22,7 +22,6 @@ geo::Status ServeOptions::validate() const {
     return geo::Status::invalid_argument("serve: breaker_strikes < 1");
   if (probe_after < 1)
     return geo::Status::invalid_argument("serve: probe_after < 1");
-  if (batch < 1) return geo::Status::invalid_argument("serve: batch < 1");
   return geo::Status();
 }
 
@@ -36,8 +35,7 @@ std::string ServeOptions::to_string() const {
   os << "replicas=" << replicas << ",queue=" << queue_capacity
      << ",quota=" << tenant_quota << ",high_water=" << effective_high_water()
      << ",retries=" << retries << ",backoff_us=" << retry_backoff_us
-     << ",strikes=" << breaker_strikes << ",probe_after=" << probe_after
-     << ",batch=" << batch;
+     << ",strikes=" << breaker_strikes << ",probe_after=" << probe_after;
   return os.str();
 }
 

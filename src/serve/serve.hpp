@@ -78,10 +78,6 @@ struct ServeOptions {
   int breaker_strikes = 3;  // dirty outcomes to quarantine
   int probe_after = 8;      // completions elsewhere before a quarantined
                             // replica may probe
-  // Max same-model requests coalesced into one dispatch (one conv
-  // preparation per rung via resilience::run_conv_batch). 1 disables
-  // coalescing — every dispatch is a batch of one.
-  int batch = 1;
 
   geo::Status validate() const;
   std::string to_string() const;
@@ -110,7 +106,7 @@ struct Request {
   std::int64_t deadline_us = 0;
   std::string label;  // journal/metrics label; defaults to tenant
   // Test hook: > 0 arms the request's CancelToken to trip after N
-  // cancellation polls (exec::CancelToken::trip_after), making mid-batch
+  // cancellation polls (exec::CancelToken::trip_after), making mid-execution
   // deadline expiry deterministic regardless of wall-clock timing.
   std::int64_t trip_after_polls = 0;
 };
@@ -124,9 +120,7 @@ struct Response {
   int attempts = 0;       // executions across replicas (1 = no failover)
   double queue_us = 0.0;  // submit -> first dispatch
   double exec_us = 0.0;   // execution wall time of the final attempt
-                          // (amortized batch wall time when batched)
   double total_us = 0.0;  // submit -> response
-  bool batched = false;   // final attempt ran in a coalesced batch dispatch
 };
 
 // Monotone counters since construction (stats() snapshot).
@@ -146,8 +140,6 @@ struct ServeStats {
   std::int64_t quarantines = 0;       // breaker open transitions
   std::int64_t probes = 0;            // half-open probes dispatched
   std::int64_t readmits = 0;          // probes that closed the breaker
-  std::int64_t batches = 0;           // coalesced dispatches (size >= 2)
-  std::int64_t batched_requests = 0;  // requests served inside those batches
   std::int64_t prewarms = 0;          // admission-time prewarm tasks scheduled
   std::int64_t prewarm_pins = 0;      // weight-store layers pinned warm
   std::int64_t prewarm_tables = 0;    // stream-table rows acquired warm
@@ -198,16 +190,14 @@ class InferenceServer {
   struct Pending;
 
   void worker_main(int replica);
-  // Runs one claimed batch (the leader first, then the requests coalesced
-  // behind it; usually just the leader): queue-time latch, expired-in-queue
-  // responses, one fault scope, one store pin, one executor call.
-  void dispatch(int replica, std::vector<std::unique_ptr<Pending>> batch);
-  // Per-member post-execution tail of dispatch: attempt bookkeeping,
-  // deadline/error handling, failover re-queue, breaker signal, terminal
-  // respond.
+  // Runs one claimed request: queue-time latch, expired-in-queue response,
+  // fault scope, store pin, one executor call.
+  void dispatch(int replica, std::unique_ptr<Pending> p);
+  // Post-execution tail of dispatch: attempt bookkeeping, deadline/error
+  // handling, failover re-queue, breaker signal, terminal respond.
   void finish_attempt(int replica, std::unique_ptr<Pending> p,
                       geo::StatusOr<arch::MachineResult> result,
-                      bool degraded, double exec_us, bool batched);
+                      bool degraded, double exec_us);
   void schedule_prewarm(const Request& req);
   void respond(std::unique_ptr<Pending> p, Response resp);
   void apply_transition(ReplicaHealth::Transition t, int replica);
@@ -232,9 +222,8 @@ class InferenceServer {
   std::atomic<std::int64_t> submitted_{0}, admitted_{0}, rejected_invalid_{0},
       shed_queue_{0}, shed_quota_{0}, completed_{0}, ok_{0}, degraded_{0},
       steered_{0}, deadline_expired_{0}, failed_{0}, failovers_{0},
-      quarantines_{0}, probes_{0}, readmits_{0}, batches_{0},
-      batched_requests_{0}, prewarms_{0}, prewarm_pins_{0},
-      prewarm_tables_{0};
+      quarantines_{0}, probes_{0}, readmits_{0}, prewarms_{0},
+      prewarm_pins_{0}, prewarm_tables_{0};
 
   std::vector<std::thread> workers_;
 };

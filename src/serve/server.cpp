@@ -27,19 +27,6 @@ void journal_event(std::string_view kind, std::string_view label,
   if (journal.enabled()) journal.record(kind, label, args, note);
 }
 
-// Span identity, not value equality: batch members must share the caller's
-// actual weight/BN storage for the one-preparation dispatch to be sound.
-bool same_span(std::span<const float> a, std::span<const float> b) {
-  return a.data() == b.data() && a.size() == b.size();
-}
-
-bool same_shape(const arch::ConvShape& a, const arch::ConvShape& b) {
-  return a.cin == b.cin && a.hin == b.hin && a.win == b.win &&
-         a.cout == b.cout && a.kh == b.kh && a.kw == b.kw &&
-         a.stride == b.stride && a.pad == b.pad && a.pool == b.pool &&
-         a.output == b.output;
-}
-
 }  // namespace
 
 // One admitted request's lifetime across dispatches. Owned by the queue
@@ -83,15 +70,13 @@ InferenceServer::InferenceServer(const arch::HwConfig& hw,
         "serve.shed_queue", "serve.shed_quota", "serve.completed", "serve.ok",
         "serve.degraded", "serve.steered", "serve.deadline_expired",
         "serve.failed", "serve.failover", "serve.quarantine", "serve.probe",
-        "serve.probe_failed", "serve.readmit", "serve.batch",
-        "serve.batch_requests", "serve.prewarm", "serve.prewarm_pins",
-        "serve.prewarm_tables"})
+        "serve.probe_failed", "serve.readmit", "serve.prewarm",
+        "serve.prewarm_pins", "serve.prewarm_tables"})
     m.counter(name);
   m.gauge("serve.queue_depth");
   m.histogram("serve.queue_us");
   m.histogram("serve.exec_us");
   m.histogram("serve.latency_us");
-  m.histogram("serve.batch_occupancy");
   journal_event("serve.start", "server", {}, options_.to_string());
   workers_.reserve(static_cast<std::size_t>(options_.replicas));
   for (int r = 0; r < options_.replicas; ++r)
@@ -238,9 +223,7 @@ Response InferenceServer::run(Request req) {
 
 void InferenceServer::worker_main(int replica) {
   for (;;) {
-    // The claimed request first, then the compatible requests coalesced
-    // behind it.
-    std::vector<std::unique_ptr<Pending>> batch;
+    std::unique_ptr<Pending> claimed;
     {
       std::unique_lock lock(mu_);
       for (;;) {
@@ -272,36 +255,8 @@ void InferenceServer::worker_main(int replica) {
                 journal_event("serve.probe", (*pick)->label(),
                               {{"replica", static_cast<double>(replica)}});
               }
-              batch.push_back(std::move(*pick));
+              claimed = std::move(*pick);
               queue_.erase(pick);
-              // Coalesce compatible requests behind the claimed leader into
-              // one dispatch (probes stay solo: a probe's health signal
-              // must be attributable to one request). Gathering happens
-              // under the same lock hold as the claim, so the batch is
-              // exactly what was queued at claim time.
-              const Pending& leader = *batch.front();
-              for (auto it = queue_.begin();
-                   !probe && it != queue_.end() &&
-                   static_cast<int>(batch.size()) < options_.batch;) {
-                const Pending& q = **it;
-                const bool compatible =
-                    q.not_before <= now &&
-                    !(q.exclude == replica &&
-                      health_.other_candidate(replica)) &&
-                    q.steered == leader.steered &&
-                    q.req.layer_salt == leader.req.layer_salt &&
-                    q.req.store_layer == leader.req.store_layer &&
-                    same_span(q.req.weights, leader.req.weights) &&
-                    same_span(q.req.bn_scale, leader.req.bn_scale) &&
-                    same_span(q.req.bn_shift, leader.req.bn_shift) &&
-                    same_shape(q.req.shape, leader.req.shape);
-                if (!compatible) {
-                  ++it;
-                  continue;
-                }
-                batch.push_back(std::move(*it));
-                it = queue_.erase(it);
-              }
               telemetry::MetricsRegistry::instance()
                   .gauge("serve.queue_depth")
                   .set(static_cast<double>(queue_.size()));
@@ -318,64 +273,37 @@ void InferenceServer::worker_main(int replica) {
           cv_.wait_until(lock, wait_until);
       }
     }
-    dispatch(replica, std::move(batch));
+    dispatch(replica, std::move(claimed));
   }
 }
 
-void InferenceServer::dispatch(int replica,
-                               std::vector<std::unique_ptr<Pending>> batch) {
-  const auto popped = Clock::now();
-  std::vector<std::unique_ptr<Pending>> live;
-  live.reserve(batch.size());
-  for (auto& p : batch) {
-    if (!p->dispatched) {
-      p->dispatched = true;
-      p->queue_us = micros_between(p->submitted, popped);
-    }
-    // Deadline already expired while queued: release the replica without
-    // charging a single cycle.
-    if (p->cancel.cancelled()) {
-      health_.on_no_signal(replica);
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::MetricsRegistry::instance()
-          .counter("serve.deadline_expired")
-          .add();
-      journal_event("serve.deadline", p->label(),
-                    {{"replica", static_cast<double>(replica)},
-                     {"attempt", static_cast<double>(p->attempts)}},
-                    "expired-in-queue");
-      Response resp;
-      resp.status =
-          geo::Status::deadline_exceeded("serve: deadline expired in queue");
-      resp.replica = replica;
-      resp.attempts = p->attempts;
-      respond(std::move(p), std::move(resp));
-      continue;
-    }
-    live.push_back(std::move(p));
+void InferenceServer::dispatch(int replica, std::unique_ptr<Pending> p) {
+  if (!p->dispatched) {
+    p->dispatched = true;
+    p->queue_us = micros_between(p->submitted, Clock::now());
   }
-  if (live.empty()) return;
-
   auto& m = telemetry::MetricsRegistry::instance();
-  const bool batched = live.size() > 1;
-  if (batched) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_requests_.fetch_add(static_cast<std::int64_t>(live.size()),
-                                std::memory_order_relaxed);
-    m.counter("serve.batch").add();
-    m.counter("serve.batch_requests")
-        .add(static_cast<std::int64_t>(live.size()));
-    m.histogram("serve.batch_occupancy")
-        .observe(static_cast<double>(live.size()));
-    journal_event("serve.batch", live.front()->label(),
+  // Deadline already expired while queued: release the replica without
+  // charging a single cycle.
+  if (p->cancel.cancelled()) {
+    health_.on_no_signal(replica);
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    m.counter("serve.deadline_expired").add();
+    journal_event("serve.deadline", p->label(),
                   {{"replica", static_cast<double>(replica)},
-                   {"size", static_cast<double>(live.size())}});
+                   {"attempt", static_cast<double>(p->attempts)}},
+                  "expired-in-queue");
+    Response resp;
+    resp.status =
+        geo::Status::deadline_exceeded("serve: deadline expired in queue");
+    resp.replica = replica;
+    resp.attempts = p->attempts;
+    respond(std::move(p), std::move(resp));
+    return;
   }
 
-  // Per-replica fault domain, one scope around the whole dispatch: the
-  // scoped override beats GEO_FAULTS on this thread, the thread pool
-  // propagates it to any helper workers, and batch members share the
-  // replica's hardware and therefore its faults.
+  // Per-replica fault domain: the scoped override beats GEO_FAULTS on this
+  // thread, and the thread pool propagates it to any helper workers.
   std::optional<fault::FaultConfig> fault_cfg;
   {
     std::lock_guard lock(mu_);
@@ -384,46 +312,38 @@ void InferenceServer::dispatch(int replica,
   std::optional<fault::ScopedFaultInjection> fault_scope;
   if (fault_cfg.has_value()) fault_scope.emplace(*fault_cfg);
 
-  resilience::ResilientExecutor executor(hw_, retry_policy_);
-  const Pending& leader = *live.front();
-  const resilience::Rung start = leader.steered ? resilience::Rung::kReference
-                                                : resilience::Rung::kNative;
-
-  // Store-backed weights: one pin for the whole dispatch, here on the
-  // worker and inside the fault scope — the repair ladder (reread/rebuild/
-  // fallback) runs under whatever disk faults this replica is subject to
-  // and still returns source-identical bytes. Admission verified the layer,
-  // so a pin failure is a contract break surfaced loudly below, never a
-  // silent drop. The pin's modeled io stall (zero on cache hits) is charged
-  // once, into the first member's ledger, where attribution folds it into
-  // the memory bucket.
-  std::span<const float> weights = leader.req.weights;
+  // Store-backed weights: pinned here on the worker and inside the fault
+  // scope — the repair ladder (reread/rebuild/fallback) runs under whatever
+  // disk faults this replica is subject to and still returns
+  // source-identical bytes. Admission verified the layer, so a pin failure
+  // is a contract break surfaced loudly below, never a silent drop. The
+  // pin's modeled io stall (zero on cache hits) is charged into the
+  // request's ledger, where attribution folds it into the memory bucket.
+  std::span<const float> weights = p->req.weights;
   store::Pinned pinned;
   std::int64_t io_stall_cycles = 0;
-  if (!leader.req.store_layer.empty()) {
+  if (!p->req.store_layer.empty()) {
     std::shared_ptr<store::WeightStore> store;
     {
       std::lock_guard lock(mu_);
       store = store_;
     }
     geo::StatusOr<store::Pinned> pin =
-        store != nullptr ? store->pin(leader.req.store_layer)
+        store != nullptr ? store->pin(p->req.store_layer)
                          : geo::Status::failed_precondition(
                                "serve: weight store detached after admission");
     if (!pin.ok()) {
-      for (auto& p : live) {
-        apply_transition(health_.on_outcome(replica, false), replica);
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        m.counter("serve.failed").add();
-        journal_event("serve.fail", p->label(),
-                      {{"replica", static_cast<double>(replica)}},
-                      pin.status().message());
-        Response resp;
-        resp.status = pin.status();
-        resp.replica = replica;
-        resp.attempts = p->attempts;
-        respond(std::move(p), std::move(resp));
-      }
+      apply_transition(health_.on_outcome(replica, false), replica);
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      m.counter("serve.failed").add();
+      journal_event("serve.fail", p->label(),
+                    {{"replica", static_cast<double>(replica)}},
+                    pin.status().message());
+      Response resp;
+      resp.status = pin.status();
+      resp.replica = replica;
+      resp.attempts = p->attempts;
+      respond(std::move(p), std::move(resp));
       return;
     }
     pinned = std::move(*pin);
@@ -431,32 +351,22 @@ void InferenceServer::dispatch(int replica,
     io_stall_cycles = pinned.stats().io_stall_cycles;
   }
 
-  std::vector<resilience::BatchItem> items;
-  items.reserve(live.size());
-  for (const auto& p : live) {
-    items.push_back({p->req.input, p->label(), &p->cancel,
-                     items.empty() ? io_stall_cycles : 0});
-  }
-
+  resilience::ResilientExecutor executor(hw_, retry_policy_);
+  const resilience::RunOptions run_options{
+      p->steered ? resilience::Rung::kReference : resilience::Rung::kNative,
+      &p->cancel, io_stall_cycles};
   const auto exec_start = Clock::now();
-  std::vector<resilience::BatchItemResult> results = executor.run_conv_batch(
-      leader.req.shape, weights, leader.req.bn_scale, leader.req.bn_shift,
-      leader.req.layer_salt, items, start);
-  // Amortized per-request service time: the dispatch's wall time split
-  // evenly (members share one preparation; finer attribution is not
-  // observable).
-  const double exec_us = micros_between(exec_start, Clock::now()) /
-                         static_cast<double>(live.size());
-
-  for (std::size_t i = 0; i < live.size(); ++i)
-    finish_attempt(replica, std::move(live[i]), std::move(results[i].result),
-                   results[i].degraded, exec_us, batched);
+  geo::StatusOr<arch::MachineResult> result = executor.run_conv(
+      p->req.shape, weights, p->req.input, p->req.bn_scale, p->req.bn_shift,
+      p->req.layer_salt, p->label(), run_options);
+  const double exec_us = micros_between(exec_start, Clock::now());
+  const bool degraded = result.ok() && executor.last_outcome()->degraded;
+  finish_attempt(replica, std::move(p), std::move(result), degraded, exec_us);
 }
 
 void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
                                      geo::StatusOr<arch::MachineResult> result,
-                                     bool degraded, double exec_us,
-                                     bool batched) {
+                                     bool degraded, double exec_us) {
   ++p->attempts;
   {
     std::lock_guard lock(mu_);
@@ -469,7 +379,6 @@ void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
     resp.replica = replica;
     resp.attempts = p->attempts;
     resp.exec_us = exec_us;
-    resp.batched = batched;
     if (result.status().code() == geo::StatusCode::kDeadlineExceeded) {
       // Cancelled mid-execution: the execution was abandoned at a tile
       // boundary and carries no health signal about the replica.
@@ -537,7 +446,6 @@ void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
   resp.replica = replica;
   resp.attempts = p->attempts;
   resp.exec_us = exec_us;
-  resp.batched = batched;
   respond(std::move(p), std::move(resp));
 }
 
@@ -672,8 +580,6 @@ ServeStats InferenceServer::stats() const {
   s.quarantines = quarantines_.load(std::memory_order_relaxed);
   s.probes = probes_.load(std::memory_order_relaxed);
   s.readmits = readmits_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
   s.prewarms = prewarms_.load(std::memory_order_relaxed);
   s.prewarm_pins = prewarm_pins_.load(std::memory_order_relaxed);
   s.prewarm_tables = prewarm_tables_.load(std::memory_order_relaxed);

@@ -53,10 +53,10 @@ std::vector<DiffRule> default_diff_rules() {
       {"metrics.counters.*_streams_generated", 0, 0, 0, true},
       {"metrics.counters.*_buffer_fills", 0, 0, 0, true},
       {"*ledger_ok*", 0.0, 0.0, -1, false},
-      // Measured speedup ratios (table-vs-tick, SIMD-vs-scalar, batched-
-      // vs-solo serving): wall-clock-derived, so noisy run to run, but a
-      // collapse means an optimization silently stopped engaging. Gate
-      // loosely, higher is better.
+      // Measured speedup ratios (table-vs-tick, SIMD-vs-scalar):
+      // wall-clock-derived, so noisy run to run, but a collapse means an
+      // optimization silently stopped engaging. Gate loosely, higher is
+      // better.
       {"*speedup*", 0.5, 0.0, -1, false},
       {"*accuracy*", 0.0, 0.25, -1, false},  // percentage points
       {"*frames_per_joule*", 0.02, 0.0, -1, false},

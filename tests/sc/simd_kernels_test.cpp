@@ -50,17 +50,13 @@ TEST(SimdKernels, ReductionParityAcrossBackends) {
   for (const std::size_t n : kSizes) {
     const auto a = random_words(n, 0x9e3779b97f4a7c15ull + n);
     const auto p = random_words(n, 0xbf58476d1ce4e5b9ull + n);
-    const auto q = random_words(n, 0x94d049bb133111ebull + n);
 
     // Independent scalar reference.
     std::uint64_t ref_pop = 0, ref_and = 0, ref_or = 0;
-    std::int64_t ref_mac = 0;
     for (std::size_t i = 0; i < n; ++i) {
       ref_pop += static_cast<std::uint64_t>(std::popcount(a[i]));
       ref_and += static_cast<std::uint64_t>(std::popcount(a[i] & p[i]));
       ref_or += static_cast<std::uint64_t>(std::popcount(a[i] | p[i]));
-      ref_mac += std::popcount(a[i] & p[i]);
-      ref_mac -= std::popcount(a[i] & q[i]);
     }
 
     for (const Backend b : backends_under_test()) {
@@ -71,8 +67,6 @@ TEST(SimdKernels, ReductionParityAcrossBackends) {
       EXPECT_EQ(and_popcount(a.data(), p.data(), n), ref_and)
           << to_string(b) << " n=" << n;
       EXPECT_EQ(or_popcount(a.data(), p.data(), n), ref_or)
-          << to_string(b) << " n=" << n;
-      EXPECT_EQ(mac_popcount(a.data(), p.data(), q.data(), n), ref_mac)
           << to_string(b) << " n=" << n;
     }
   }
@@ -141,25 +135,6 @@ TEST(SimdKernels, RowKernelParityAcrossBackends) {
         EXPECT_EQ(pop, ref_pop)
             << to_string(b) << " rows=" << rows << " wpl=" << wpl;
       }
-    }
-  }
-}
-
-TEST(SimdKernels, MacEqualsSplitAndPopcounts) {
-  // The fused signed MAC must equal its two-call decomposition on every
-  // backend (one pass over `a` is an optimization, not a semantic change).
-  for (const std::size_t n : {std::size_t{5}, std::size_t{64},
-                              std::size_t{125}}) {
-    const auto a = random_words(n, 1000 + n);
-    const auto wp = random_words(n, 2000 + n);
-    const auto wn = random_words(n, 3000 + n);
-    for (const Backend b : backends_under_test()) {
-      ScopedSimdBackend scope(b);
-      const std::int64_t split =
-          static_cast<std::int64_t>(and_popcount(a.data(), wp.data(), n)) -
-          static_cast<std::int64_t>(and_popcount(a.data(), wn.data(), n));
-      EXPECT_EQ(mac_popcount(a.data(), wp.data(), wn.data(), n), split)
-          << to_string(b) << " n=" << n;
     }
   }
 }

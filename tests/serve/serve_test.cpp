@@ -353,6 +353,68 @@ TEST(InferenceServer, TightDeadlineIsTerminalAndServerStaysUsable) {
   EXPECT_EQ(server.stats().failed, 0);
 }
 
+// A deadline firing mid-execution cancels only the expired request: the
+// requests queued around it complete byte-identical to solo execution, and
+// the replica takes no health strike and serves the next request.
+TEST(InferenceServer, MidExecutionDeadlineCancelsOnlyExpiredRequest) {
+  const std::vector<Fixture> f = {Fixture(11), Fixture(12), Fixture(13),
+                                  Fixture(14)};
+  ServeOptions o = base_options();
+  o.replicas = 1;
+  o.queue_capacity = 64;
+  o.high_water = 64;
+  o.tenant_quota = 64;
+
+  std::vector<arch::MachineResult> expected;
+  {
+    InferenceServer server(small_hw(), o);
+    shield_all_replicas(server);
+    for (const Fixture& fi : f) {
+      Response r = server.run(fi.request());
+      ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+      expected.push_back(std::move(r.result));
+    }
+  }
+
+  InferenceServer server(small_hw(), o);
+  shield_all_replicas(server);
+  server.pause();
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    Request r = f[i].request();
+    // Poll 1: dispatch's expired-in-queue check. Poll 2: the ladder's
+    // rung-entry check. Poll 3: the first in-execution cancellation
+    // poll — a deterministic mid-execution trip for request 2 only.
+    if (i == 2) r.trip_after_polls = 3;
+    auto fut = server.submit(std::move(r));
+    ASSERT_TRUE(fut.ok());
+    futures.push_back(std::move(*fut));
+  }
+  server.resume();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    Response r = futures[i].get();
+    if (i == 2) {
+      EXPECT_EQ(r.status.code(), geo::StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(r.attempts, 1);  // reached the machine, then cancelled
+      continue;
+    }
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.result.counters, expected[i].counters) << "request " << i;
+    EXPECT_EQ(r.result.activations, expected[i].activations)
+        << "request " << i;
+  }
+  const ServeStats s = server.stats();
+  EXPECT_EQ(s.completed, 4);
+  EXPECT_EQ(s.deadline_expired, 1);
+  EXPECT_EQ(s.failed, 0);
+
+  EXPECT_EQ(server.replica_state(0), BreakerState::kClosed);
+  Response after = server.run(f[2].request());
+  ASSERT_TRUE(after.status.ok()) << after.status.to_string();
+  EXPECT_EQ(after.result.activations, expected[2].activations);
+}
+
 TEST(InferenceServer, DestructorDrainsAdmittedRequests) {
   const Fixture f;
   std::vector<std::future<Response>> futures;
