@@ -1,9 +1,7 @@
 #include "arch/isa.hpp"
 
 #include <array>
-#include <charconv>
 #include <sstream>
-#include <stdexcept>
 
 namespace geo::arch {
 
@@ -28,76 +26,6 @@ std::string Instruction::to_string() const {
   return os.str();
 }
 
-std::uint64_t Instruction::encode() const {
-  auto field = [](std::int32_t v) -> std::uint64_t {
-    if (v < -32768 || v > 32767)
-      throw std::out_of_range("Instruction::encode: operand exceeds 16 bits");
-    return static_cast<std::uint64_t>(static_cast<std::uint16_t>(v));
-  };
-  return (static_cast<std::uint64_t>(op) << 56) | (field(arg0) << 32) |
-         (field(arg1) << 16) | field(arg2);
-}
-
-Instruction Instruction::decode(std::uint64_t word) {
-  auto field = [](std::uint64_t w, unsigned shift) {
-    return static_cast<std::int32_t>(
-        static_cast<std::int16_t>((w >> shift) & 0xFFFF));
-  };
-  Instruction inst;
-  const auto op = static_cast<std::uint8_t>(word >> 56);
-  if (op >= kMnemonics.size())
-    throw std::invalid_argument("Instruction::decode: bad opcode");
-  inst.op = static_cast<Opcode>(op);
-  inst.arg0 = field(word, 32);
-  inst.arg1 = field(word, 16);
-  inst.arg2 = field(word, 0);
-  return inst;
-}
-
-geo::StatusOr<Instruction> Instruction::try_parse(const std::string& line) {
-  std::istringstream is(line);
-  std::string m;
-  if (!(is >> m))
-    return geo::Status::invalid_argument("Instruction::parse: empty line");
-  Instruction inst;
-  bool found = false;
-  for (std::size_t i = 0; i < kMnemonics.size(); ++i)
-    if (m == kMnemonics[i]) {
-      inst.op = static_cast<Opcode>(i);
-      found = true;
-      break;
-    }
-  if (!found)
-    return geo::Status::invalid_argument(
-        "Instruction::parse: unknown mnemonic '" + m + "'");
-  std::int32_t* const args[3] = {&inst.arg0, &inst.arg1, &inst.arg2};
-  std::string tok;
-  int count = 0;
-  while (is >> tok) {
-    if (count >= 3)
-      return geo::Status::invalid_argument(
-          "Instruction::parse: more than 3 operands in '" + line + "'");
-    std::int32_t v = 0;
-    const char* first = tok.data();
-    const char* last = tok.data() + tok.size();
-    const auto [ptr, ec] = std::from_chars(first, last, v);
-    if (ec != std::errc() || ptr != last)
-      return geo::Status::invalid_argument(
-          "Instruction::parse: operand '" + tok + "' is not an integer");
-    if (v < -32768 || v > 32767)
-      return geo::Status::out_of_range(
-          "Instruction::parse: operand '" + tok + "' exceeds 16 bits");
-    *args[count++] = v;
-  }
-  return inst;
-}
-
-Instruction Instruction::parse(const std::string& line) {
-  auto inst = try_parse(line);
-  if (!inst.ok()) throw std::invalid_argument(inst.status().to_string());
-  return *inst;
-}
-
 std::string Program::to_text() const {
   std::string out;
   for (const auto& inst : code_) {
@@ -105,33 +33,6 @@ std::string Program::to_text() const {
     out += '\n';
   }
   return out;
-}
-
-Program Program::from_text(const std::string& text) {
-  Program p;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    // Strip comments and blanks.
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    p.push(Instruction::parse(line));
-  }
-  return p;
-}
-
-std::vector<std::uint64_t> Program::encode() const {
-  std::vector<std::uint64_t> words;
-  words.reserve(code_.size());
-  for (const auto& inst : code_) words.push_back(inst.encode());
-  return words;
-}
-
-Program Program::decode(const std::vector<std::uint64_t>& words) {
-  Program p;
-  for (std::uint64_t w : words) p.push(Instruction::decode(w));
-  return p;
 }
 
 }  // namespace geo::arch

@@ -3,15 +3,15 @@
 // read-add-write vector instruction and near-memory batch-norm of
 // Sec. III-C).
 //
-// Instructions carry up to three immediate operands; the textual assembly
-// and the 64-bit binary encoding round-trip exactly (tested).
+// Instructions carry up to three signed 16-bit immediate operands (larger
+// counts are expressed by the compiler as repeated instructions). A Program
+// is the compiler's presentation of a plan; it prints as assembly text and
+// nothing executes it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "core/status.hpp"
 
 namespace geo::arch {
 
@@ -41,20 +41,6 @@ struct Instruction {
   bool operator==(const Instruction&) const = default;
 
   std::string to_string() const;
-
-  // 64-bit encoding: [63:56] opcode, then 3x 16-bit sign-extended operands
-  // in [47:0] (operands must fit 16 bits; larger counts are expressed by the
-  // compiler as repeated instructions).
-  std::uint64_t encode() const;
-  static Instruction decode(std::uint64_t word);
-
-  // Parses one assembly line, e.g. "genexec 256 512". Rejects unknown
-  // mnemonics, non-numeric or out-of-16-bit-range operands, and more than
-  // three operands.
-  static geo::StatusOr<Instruction> try_parse(const std::string& line);
-
-  // Throwing wrapper around try_parse (std::invalid_argument).
-  static Instruction parse(const std::string& line);
 };
 
 class Program {
@@ -75,10 +61,6 @@ class Program {
   }
 
   std::string to_text() const;
-  static Program from_text(const std::string& text);
-
-  std::vector<std::uint64_t> encode() const;
-  static Program decode(const std::vector<std::uint64_t>& words);
 
  private:
   std::vector<Instruction> code_;

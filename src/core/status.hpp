@@ -1,14 +1,13 @@
 // geo::Status / geo::StatusOr — structured, recoverable errors for the
-// "expected failure" paths of the stack (malformed programs, shape
-// mismatches, corrupted artifacts), as opposed to programming errors which
-// keep throwing.
+// "expected failure" paths of the stack (shape mismatches, corrupted
+// artifacts), as opposed to programming errors which keep throwing.
 //
 // Conventions (see README "Error handling"):
 //   * APIs named `try_*` or `validate*` return Status/StatusOr and never
 //     throw on bad input.
-//   * Legacy throwing APIs (`run_conv`, `Instruction::parse`, ...) are kept
-//     for convenience and are implemented on top of the Status layer; the
-//     exception message is the Status message.
+//   * Legacy throwing APIs (`run_conv`, ...) are kept for convenience and
+//     are implemented on top of the Status layer; the exception message is
+//     the Status message.
 #pragma once
 
 #include <optional>

@@ -308,11 +308,6 @@ int FaultModel::corrupt_stream(std::uint64_t* words, std::size_t length,
   return n;
 }
 
-int FaultModel::corrupt_stream(sc::Bitstream& stream, Site domain,
-                               std::uint64_t site) {
-  return corrupt_stream(stream.words().data(), stream.length(), domain, site);
-}
-
 int FaultModel::corrupt_accum_input(std::uint64_t* words, std::size_t length,
                                     std::uint64_t site) {
   if (cfg_.accum_flip_rate <= 0.0) return 0;
@@ -402,8 +397,8 @@ std::uint32_t FaultModel::sram_read(std::uint32_t word, unsigned bits,
   return word;
 }
 
-int FaultModel::sram_defect_ecc_delta(unsigned bits, Site domain,
-                                      std::uint64_t site) const {
+int FaultModel::sram_defect_zeroed(unsigned bits, Site domain,
+                                   std::uint64_t site) const {
   if (cfg_.transient || cfg_.sram_error_rate <= 0.0 || bits == 0) return 0;
   SiteRng rng = rng_for(domain, site);  // defect mode: no sequence taken
   const std::uint32_t flips = sram_flip_mask(bits, rng);
@@ -415,7 +410,7 @@ int FaultModel::sram_defect_ecc_delta(unsigned bits, Site domain,
     case EccMode::kParity:
       return weight % 2 == 1 ? 1 : 0;  // detect-and-zero; even slips through
     case EccMode::kSecded:
-      return weight == 1 ? -1 : 1;  // corrected subtracts; multi-bit zeroes
+      return weight == 1 ? 0 : 1;  // single-bit corrected; multi-bit zeroed
   }
   return 0;
 }

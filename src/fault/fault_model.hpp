@@ -35,7 +35,6 @@
 #include <unordered_map>
 
 #include "core/status.hpp"
-#include "sc/bitstream.hpp"
 #include "sc/rng_source.hpp"
 
 namespace geo::fault {
@@ -168,7 +167,6 @@ class FaultModel {
   // stream rate. Returns the number of bits flipped.
   int corrupt_stream(std::uint64_t* words, std::size_t length, Site domain,
                      std::uint64_t site);
-  int corrupt_stream(sc::Bitstream& stream, Site domain, std::uint64_t site);
 
   // Same, at the accumulation-input rate (OR tree / parallel-counter inputs).
   int corrupt_accum_input(std::uint64_t* words, std::size_t length,
@@ -191,19 +189,18 @@ class FaultModel {
                           std::uint64_t site);
   bool sram_active() const noexcept { return cfg_.sram_error_rate > 0.0; }
 
-  // Pure replay for the defect model (transient == false): the contribution
-  // one read of this (domain, site) makes to the resilience layer's
-  // detected-minus-corrected ECC signal. +1 for a detected-uncorrectable
-  // event (parity detect-and-zero of an odd-weight error, SECDED multi-bit
-  // zeroing), -1 for a SECDED single-bit correction (corrected events
-  // subtract in the delta), 0 otherwise. The flip pattern is a pure function
-  // of (model seed, domain, site) and the outcome depends only on its
-  // weight, so this consumes no RNG state and mutates no stats — the
-  // resilience layer uses it to reconstruct the serial first-run detection
-  // signals after a parallel tile pass. Always 0 for ecc=none (corruption is
-  // silent) and for transient models.
-  int sram_defect_ecc_delta(unsigned bits, Site domain,
-                            std::uint64_t site) const;
+  // Pure replay for the defect model (transient == false): 1 when one read
+  // of this (domain, site) is detected and zeroed (parity on an odd-weight
+  // error, SECDED on a multi-bit error), which is what sram_read counts in
+  // FaultStats::sram_errors_detected; 0 otherwise, including a SECDED
+  // single-bit correction. The flip pattern is a pure function of (model
+  // seed, domain, site) and the outcome depends only on its weight, so this
+  // consumes no RNG state and mutates no stats — the resilience layer uses
+  // it to reconstruct the serial first-run detection signals after a
+  // parallel tile pass. Always 0 for ecc=none (corruption is silent) and
+  // for transient models.
+  int sram_defect_zeroed(unsigned bits, Site domain,
+                         std::uint64_t site) const;
 
   // --- disk-I/O faults -----------------------------------------------------
   // Block bit-rot on the store's read path: flips 1..4 bits of the `length`-
@@ -224,11 +221,6 @@ class FaultModel {
   // Transient open/read errno (always re-rolled per access); true = this
   // access fails with an injected EIO.
   bool io_error(std::uint64_t site);
-
-  bool io_active() const noexcept {
-    return cfg_.io_rot_rate > 0.0 || cfg_.io_short_read_rate > 0.0 ||
-           cfg_.io_short_write_rate > 0.0 || cfg_.io_error_rate > 0.0;
-  }
 
   // --- parallel-counter faults --------------------------------------------
   // Forces the stuck-at column on one parallel-counter output count.

@@ -221,18 +221,15 @@ Detect ecc_detect_kind(const fault::FaultModel& fm) {
                                                     : Detect::kSecdedDoubleBit;
 }
 
-// ECC uncorrectable events observed since `before` (detected minus
-// corrected across the attempt's window).
+// ECC uncorrectable events observed since `before`: the detected (and
+// zeroed) reads across the attempt's window. Corrections are counted apart
+// and carry no signal.
 TileSignals ecc_delta_signals(fault::FaultModel* fm,
                               const fault::FaultStats& before) {
   TileSignals sig;
   if (fm == nullptr) return sig;
-  const fault::FaultStats now = fm->stats();
-  const std::int64_t detected =
-      now.sram_errors_detected - before.sram_errors_detected;
-  const std::int64_t corrected =
-      now.sram_errors_corrected - before.sram_errors_corrected;
-  const std::int64_t uncorrectable = detected - corrected;
+  const std::int64_t uncorrectable =
+      fm->stats().sram_errors_detected - before.sram_errors_detected;
   for (std::int64_t i = 0; i < uncorrectable; ++i)
     sig.add(ecc_detect_kind(*fm));
   return sig;
@@ -330,9 +327,8 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
       return cancelled_status(outcome.layer, "parallel-tile-boundary");
     // Reconstruct the attempt-0 ECC signals the serial loop would have
     // seen: in tile order, the first tile touching an activation slot owns
-    // its generation, and under the defect model each read's contribution
-    // to the detected-minus-corrected delta is a pure function of the
-    // slot (corrected single-bit events subtract, matching check_tile).
+    // its generation, and under the defect model whether that read is
+    // detected and zeroed is a pure function of the slot.
     emulated_ecc.assign(static_cast<std::size_t>(tiles), 0);
     if (fm != nullptr && fm->sram_active()) {
       std::unordered_set<std::size_t> owned;
@@ -340,7 +336,7 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
         for (const std::size_t aidx : exec.tile_inputs(t)) {
           if (owned.insert(aidx).second)
             emulated_ecc[static_cast<std::size_t>(t)] +=
-                fm->sram_defect_ecc_delta(
+                fm->sram_defect_zeroed(
                     static_cast<unsigned>(exec.config().value_bits),
                     fault::FaultModel::Site::kActSram, aidx);
         }

@@ -23,9 +23,6 @@
 //                steered to the reference rung (resilience::RunOptions::start)
 //                instead of shed — reduced fidelity before reduced
 //                availability
-//   prewarm      each admitted request's weight-store pin and stream-table
-//                rows are warmed on exec::AsyncLane::io off the critical
-//                section, so the first dispatch of a burst hits warm caches
 //
 // The serving contract: every admitted request gets a terminal Response
 // (ok, degraded-ok, or deadline-exceeded) — never a silent drop, and under
@@ -140,9 +137,6 @@ struct ServeStats {
   std::int64_t quarantines = 0;       // breaker open transitions
   std::int64_t probes = 0;            // half-open probes dispatched
   std::int64_t readmits = 0;          // probes that closed the breaker
-  std::int64_t prewarms = 0;          // admission-time prewarm tasks scheduled
-  std::int64_t prewarm_pins = 0;      // weight-store layers pinned warm
-  std::int64_t prewarm_tables = 0;    // stream-table rows acquired warm
   std::int64_t queue_depth = 0;       // instantaneous
   std::vector<std::int64_t> served_by;  // executions per replica
 };
@@ -198,7 +192,6 @@ class InferenceServer {
   void finish_attempt(int replica, std::unique_ptr<Pending> p,
                       geo::StatusOr<arch::MachineResult> result,
                       bool degraded, double exec_us);
-  void schedule_prewarm(const Request& req);
   void respond(std::unique_ptr<Pending> p, Response resp);
   void apply_transition(ReplicaHealth::Transition t, int replica);
 
@@ -222,8 +215,7 @@ class InferenceServer {
   std::atomic<std::int64_t> submitted_{0}, admitted_{0}, rejected_invalid_{0},
       shed_queue_{0}, shed_quota_{0}, completed_{0}, ok_{0}, degraded_{0},
       steered_{0}, deadline_expired_{0}, failed_{0}, failovers_{0},
-      quarantines_{0}, probes_{0}, readmits_{0}, prewarms_{0},
-      prewarm_pins_{0}, prewarm_tables_{0};
+      quarantines_{0}, probes_{0}, readmits_{0};
 
   std::vector<std::thread> workers_;
 };

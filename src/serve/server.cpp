@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/async_lane.hpp"
-#include "sc/seed_sharing.hpp"
-#include "sc/stream_table.hpp"
 #include "store/weight_store.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
@@ -70,8 +67,7 @@ InferenceServer::InferenceServer(const arch::HwConfig& hw,
         "serve.shed_queue", "serve.shed_quota", "serve.completed", "serve.ok",
         "serve.degraded", "serve.steered", "serve.deadline_expired",
         "serve.failed", "serve.failover", "serve.quarantine", "serve.probe",
-        "serve.probe_failed", "serve.readmit", "serve.prewarm",
-        "serve.prewarm_pins", "serve.prewarm_tables"})
+        "serve.probe_failed", "serve.readmit"})
     m.counter(name);
   m.gauge("serve.queue_depth");
   m.histogram("serve.queue_us");
@@ -91,10 +87,6 @@ InferenceServer::~InferenceServer() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  // The io lane is FIFO: once this no-op has run, every prewarm task this
-  // server scheduled has finished, so none outlives it (or the statics it
-  // touches, at process exit).
-  exec::AsyncLane::io().submit([] {}).wait();
   journal_event("serve.stop", "server",
                 {{"completed", static_cast<double>(
                                    completed_.load(std::memory_order_relaxed))}});
@@ -198,10 +190,6 @@ geo::StatusOr<std::future<Response>> InferenceServer::submit(Request req) {
     }
     admitted_.fetch_add(1, std::memory_order_relaxed);
     telemetry::MetricsRegistry::instance().counter("serve.admitted").add();
-    // Warm the model's caches off the replica's critical section: by the
-    // time a worker claims this request, the weight-store pin and
-    // stream-table rows are (best-effort) already resident.
-    schedule_prewarm(p->req);
     queue_.push_back(std::move(p));
     telemetry::MetricsRegistry::instance()
         .gauge("serve.queue_depth")
@@ -449,63 +437,6 @@ void InferenceServer::finish_attempt(int replica, std::unique_ptr<Pending> p,
   respond(std::move(p), std::move(resp));
 }
 
-void InferenceServer::schedule_prewarm(const Request& req) {
-  // Called under mu_ from submit(). The task may use `this`: the
-  // destructor drains the io lane before the server goes away.
-  prewarms_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::MetricsRegistry::instance().counter("serve.prewarm").add();
-  std::shared_ptr<store::WeightStore> store =
-      req.store_layer.empty() ? nullptr : store_;
-  const arch::HwConfig hw = hw_;
-  const arch::ConvShape shape = req.shape;
-  const std::uint64_t salt = req.layer_salt;
-  const std::string store_layer = req.store_layer;
-  exec::AsyncLane::io().submit([this, store, hw, shape, salt, store_layer] {
-    auto& metrics = telemetry::MetricsRegistry::instance();
-    if (store != nullptr) {
-      // Pinning loads + verifies the layer's blocks into the store cache;
-      // dropping the pin keeps the cached blocks warm for dispatch.
-      if (auto pin = store->pin(store_layer); pin.ok()) {
-        prewarm_pins_.fetch_add(1, std::memory_order_relaxed);
-        metrics.counter("serve.prewarm_pins").add();
-      }
-    }
-    if (!sc::stream_table_enabled()) return;
-    // Build the comparator tables dispatch will acquire: the layer's seed
-    // layout is a pure function of (shape, salt, hw), so acquiring the
-    // same specs here makes the dispatch-time acquires cache hits. Bounded
-    // slice — at moderate sharing the spec space collapses to a handful of
-    // distinct rows, so the first few coordinates cover the layer.
-    const nn::ScLayerConfig cfg =
-        arch::GeoMachine(hw).layer_config(shape, salt);
-    const nn::LayerSeeds seeds(cfg, shape);
-    auto& registry = sc::StreamTableRegistry::instance();
-    std::vector<sc::SeedSpec> seen;
-    std::int64_t acquired = 0;
-    const auto acquire_once = [&](const sc::SeedSpec& spec) {
-      if (std::find(seen.begin(), seen.end(), spec) != seen.end()) return;
-      seen.push_back(spec);
-      if (registry.acquire(cfg.rng, spec,
-                           static_cast<std::size_t>(cfg.stream_len)) !=
-          nullptr)
-        ++acquired;
-    };
-    const int acts =
-        static_cast<int>(std::min<std::int64_t>(shape.activations(), 64));
-    for (int i = 0; i < acts; ++i)
-      acquire_once(seeds.activation(static_cast<std::size_t>(i)));
-    for (int oc = 0; oc < std::min(shape.cout, 4); ++oc)
-      for (int ic = 0; ic < std::min(shape.cin, 4); ++ic)
-        for (int ky = 0; ky < shape.kh; ++ky)
-          for (int kx = 0; kx < shape.kw; ++kx)
-            acquire_once(seeds.weight(sc::WeightPos{oc, ic, ky, kx}));
-    if (acquired > 0) {
-      prewarm_tables_.fetch_add(acquired, std::memory_order_relaxed);
-      metrics.counter("serve.prewarm_tables").add(acquired);
-    }
-  });
-}
-
 void InferenceServer::respond(std::unique_ptr<Pending> p, Response resp) {
   resp.queue_us = p->queue_us;
   resp.total_us = micros_between(p->submitted, Clock::now());
@@ -580,9 +511,6 @@ ServeStats InferenceServer::stats() const {
   s.quarantines = quarantines_.load(std::memory_order_relaxed);
   s.probes = probes_.load(std::memory_order_relaxed);
   s.readmits = readmits_.load(std::memory_order_relaxed);
-  s.prewarms = prewarms_.load(std::memory_order_relaxed);
-  s.prewarm_pins = prewarm_pins_.load(std::memory_order_relaxed);
-  s.prewarm_tables = prewarm_tables_.load(std::memory_order_relaxed);
   std::lock_guard lock(mu_);
   s.queue_depth = static_cast<std::int64_t>(queue_.size());
   s.served_by = served_by_;

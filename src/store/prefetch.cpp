@@ -1,8 +1,6 @@
 #include "store/prefetch.hpp"
 
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "exec/async_lane.hpp"
 #include "telemetry/journal.hpp"
@@ -44,8 +42,7 @@ Prefetcher::~Prefetcher() {
   for (auto& [name, fut] : pending) fut.wait();
 }
 
-void Prefetcher::prefetch(const std::string& name,
-                          std::function<void(const Pinned&)> warm) {
+void Prefetcher::prefetch(const std::string& name) {
   {
     std::lock_guard lock(mu_);
     if (pending_.count(name) != 0) return;  // already in flight
@@ -53,10 +50,8 @@ void Prefetcher::prefetch(const std::string& name,
         std::make_shared<std::promise<geo::StatusOr<Pinned>>>();
     pending_.emplace(name, promise->get_future().share());
     exec::AsyncLane::io().submit(
-        [&store = store_, name, promise, warm = std::move(warm)] {
-          geo::StatusOr<Pinned> pinned = store.pin(name);
-          if (pinned.ok() && warm != nullptr) warm(*pinned);
-          promise->set_value(std::move(pinned));
+        [&store = store_, name, promise] {
+          promise->set_value(store.pin(name));
         });
   }
   counters().issued.add(1);

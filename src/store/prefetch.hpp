@@ -2,9 +2,8 @@
 //
 // While layer N executes on the machine, the Prefetcher pulls layer N+1's
 // blocks through the full repair ladder on the process I/O lane
-// (exec::AsyncLane::io()) — and, via the optional warm callback, builds its
-// stream tables — so the load cost overlaps compute instead of serializing
-// with it. get() then either
+// (exec::AsyncLane::io()), so the load cost overlaps compute instead of
+// serializing with it. get() then either
 //
 //   * consumes a completed/in-flight prefetch (store.prefetch_hit): the
 //     LoadStats come back with io_stall_cycles zeroed and prefetched set —
@@ -16,7 +15,6 @@
 // WeightStore::pin, so the repair-or-fallback contract holds. Thread-safe.
 #pragma once
 
-#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
@@ -36,11 +34,8 @@ class Prefetcher {
   Prefetcher& operator=(const Prefetcher&) = delete;
 
   // Starts an async pin of `name` on the I/O lane; idempotent while one is
-  // already in flight. `warm` (optional) runs on the lane thread after a
-  // successful pin — the hook for overlapping stream-table builds with the
-  // previous layer's execution.
-  void prefetch(const std::string& name,
-                std::function<void(const Pinned&)> warm = nullptr);
+  // already in flight.
+  void prefetch(const std::string& name);
 
   // Returns the layer, consuming an in-flight/completed prefetch when one
   // exists (blocking only for whatever tail of the load has not finished).

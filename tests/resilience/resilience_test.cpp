@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "arch/machine.hpp"
+#include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/sc_layers.hpp"
 #include "resilience/resilience.hpp"
@@ -205,6 +206,78 @@ TEST(ResilientExecutor, DefectFaultsDegradeToExactReference) {
                           f.shape.wout(),
                       act);
   EXPECT_EQ(r->activations, act);
+}
+
+TEST(ResilientExecutor, SecdedCorrectionsDoNotCancelDetections) {
+  // Burst-1 SECDED: most faulty activation words have one flipped bit and
+  // are corrected, a few have two or more and are zeroed. Tile 0 owns every
+  // slot it reads, so its first run makes both kinds of read; each zeroed
+  // read must raise secded_double_bit on that attempt however many
+  // corrections share the tile. A zero input keeps every partial sum at 0,
+  // so the psum guards stay silent and ECC is the only signal.
+  Fixture f;
+  std::fill(f.input.begin(), f.input.end(), 0.0f);
+  const HwConfig hw = small_hw(nn::AccumMode::kPbw);
+  FaultConfig cfg;
+  cfg.sram_error_rate = 2e-2;
+  cfg.sram_burst = 1;
+  cfg.ecc = EccMode::kSecded;
+  cfg.rng_seed = 3;  // tile 0: 5 zeroed reads, 20 corrected
+
+  // Tile 0's first-run reads, classified on a separate model: under the
+  // defect model a site's outcome is a pure function of (seed, site).
+  GeoMachine machine(hw);
+  std::vector<std::size_t> slots;
+  {
+    ScopedFaultInjection off(nullptr);
+    auto prepared =
+        machine.prepare_conv(f.shape, f.weights, f.input, f.ones, f.zeros, 9);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().to_string();
+    slots = prepared->tile_inputs(0);
+  }
+  const auto bits =
+      static_cast<unsigned>(machine.layer_config(f.shape, 9).value_bits);
+  fault::FaultModel probe(cfg);
+  for (const std::size_t slot : slots)
+    probe.sram_read(0, bits, fault::FaultModel::Site::kActSram, slot);
+  const std::int64_t zeroed = probe.stats().sram_errors_detected;
+  const std::int64_t corrected = probe.stats().sram_errors_corrected;
+  ASSERT_GE(zeroed, 1);
+  ASSERT_GE(corrected, zeroed) << "enough corrections to cancel them all";
+
+  auto& journal = telemetry::Journal::instance();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "geo_secded_cancel.jsonl")
+          .string();
+  for (const int threads : {1, 2}) {  // the serial loop, then Phase B
+    SCOPED_TRACE(threads);
+    exec::ScopedThreads pool(threads);
+    journal.disable();
+    journal.enable(path, 4096);
+    ScopedFaultInjection inject(cfg);
+    ResilientExecutor exec(hw, RetryPolicy{});
+    auto r = exec.run_conv(f.shape, f.weights, f.input, f.ones, f.zeros, 9,
+                           "secded");
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    const LayerOutcome& o = exec.report().layers.at(0);
+    EXPECT_GE(o.detections[static_cast<std::size_t>(Detect::kSecdedDoubleBit)],
+              zeroed);
+
+    double first_attempt = -1;
+    for (const auto& e : journal.snapshot()) {
+      if (e.kind != "resilience.retry" || e.note != to_string(Rung::kNative))
+        continue;
+      auto args = telemetry::Json::parse(e.args_json);
+      ASSERT_TRUE(args.has_value());
+      if (args->find("tile")->number() == 0 &&
+          args->find("attempt")->number() == 0)
+        first_attempt = args->find("detections")->number();
+    }
+    EXPECT_EQ(first_attempt, static_cast<double>(zeroed))
+        << "tile 0's first attempt must retry on its zeroed reads";
+    journal.disable();
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(ResilientExecutor, TransientFaultsRecoverWithoutDegrading) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "arch/machine.hpp"
-#include "exec/async_lane.hpp"
 #include "fault/fault_model.hpp"
 #include "resilience/resilience.hpp"
 #include "serve/serve.hpp"
@@ -438,41 +437,6 @@ TEST(InferenceServer, DestructorDrainsAdmittedRequests) {
     Response r = fut.get();
     EXPECT_TRUE(r.status.ok()) << r.status.to_string();
   }
-}
-
-TEST(InferenceServer, DestructorDrainsPrewarmTasks) {
-  // Admission schedules each prewarm on the process-wide io lane. Block
-  // the lane so the prewarms queue behind the block, then destroy the
-  // server while a helper thread opens it: the destructor must not return
-  // before every prewarm task has finished.
-  const Fixture f;
-  exec::AsyncLane& lane = exec::AsyncLane::io();
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  std::future<void> blocker = lane.submit([open] { open.wait(); });
-  std::thread opener;
-  {
-    ServeOptions o = base_options();
-    o.replicas = 1;
-    InferenceServer server(small_hw(), o);
-    shield_all_replicas(server);
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 3; ++i)
-      if (auto fut = server.submit(f.request()); fut.ok())
-        futures.push_back(std::move(*fut));
-    EXPECT_EQ(futures.size(), 3u);
-    // Dispatch never waits on the lane, so every request completes while
-    // the prewarms are still queued.
-    for (auto& fut : futures) EXPECT_TRUE(fut.get().status.ok());
-    EXPECT_EQ(server.stats().prewarms, 3);
-    opener = std::thread([&gate] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      gate.set_value();
-    });
-  }
-  EXPECT_EQ(lane.pending(), 0u);
-  opener.join();
-  blocker.get();
 }
 
 TEST(InferenceServer, SubmitAfterShutdownWouldBeRefused) {

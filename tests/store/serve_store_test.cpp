@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "arch/machine.hpp"
+#include "exec/async_lane.hpp"
 #include "fault/fault_model.hpp"
 #include "serve/serve.hpp"
 #include "store/weight_store.hpp"
@@ -104,6 +105,40 @@ TEST(ServeStore, StoreBackedRequestMatchesResidentServing) {
   ASSERT_TRUE(backed.status.ok()) << backed.status.to_string();
   EXPECT_EQ(backed.result.activations, resident.result.activations);
   EXPECT_EQ(backed.result.counters, resident.result.counters);
+}
+
+TEST(ServeStore, ColdPinChargesItsIoStallToTheRequest) {
+  // Admission never touches the store: the first request of a cold layer
+  // is the one that loads it, at dispatch, and its ledger carries the
+  // load's modeled io stall; the next request hits the cache and pays none.
+  const Fixture fx;
+  std::int64_t cold_stall = 0;
+  {
+    fault::ScopedFaultInjection off(nullptr);
+    auto pin = make_store(fx, "cold_ref")->pin("t");
+    ASSERT_TRUE(pin.ok()) << pin.status().to_string();
+    cold_stall = pin->stats().io_stall_cycles;
+  }
+  ASSERT_GT(cold_stall, 0);
+
+  ServeOptions o = base_options();
+  o.replicas = 1;
+  InferenceServer server(small_hw(), o);
+  server.set_replica_fault(0, FaultConfig{});  // shield ambient GEO_FAULTS
+  server.attach_store(make_store(fx, "cold"));
+  server.pause();
+  auto first = server.submit(fx.store_request());
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  // Let every background I/O task queued so far finish before dispatch.
+  exec::AsyncLane::io().submit([] {}).wait();
+  server.resume();
+  const Response cold = first->get();
+  ASSERT_TRUE(cold.status.ok()) << cold.status.to_string();
+  EXPECT_EQ(cold.result.stats.io_stall_cycles, cold_stall);
+
+  const Response warm = server.run(fx.store_request());
+  ASSERT_TRUE(warm.status.ok()) << warm.status.to_string();
+  EXPECT_EQ(warm.result.stats.io_stall_cycles, 0);
 }
 
 TEST(ServeStore, AdmissionRejectsMalformedStoreReferencesAtTheDoor) {
