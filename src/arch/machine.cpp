@@ -49,19 +49,21 @@ void apply_bn_relu(std::span<const std::int32_t> counters,
 namespace {
 
 // Generates a layer's weight bank; the one place the machine does, so every
-// generation, cached or not, emits the machine.weight_streams span.
+// generation, cached or not, emits the machine.weight_streams span. The
+// weight SRAM reads' ECC retry cycles are added to `retry_cycles`.
 std::shared_ptr<const WeightBank> generate_bank(const nn::ScLayerConfig& cfg,
                                                 const nn::ScShape& shape,
                                                 const nn::LayerSeeds& seeds,
                                                 std::span<const float> weights,
                                                 fault::FaultModel* fm,
-                                                bool use_table) {
+                                                bool use_table,
+                                                std::int64_t& retry_cycles) {
   telemetry::ScopedTimer t(
       "machine.weight_streams", "machine",
       {{"streams", static_cast<double>(weights.size())}});
   auto bank = std::make_shared<WeightBank>();
-  nn::generate_weight_bank(cfg, shape, seeds, weights, fm, use_table,
-                           bank->pos, bank->neg);
+  retry_cycles += nn::generate_weight_bank(cfg, shape, seeds, weights, fm,
+                                           use_table, bank->pos, bank->neg);
   return bank;
 }
 
@@ -177,8 +179,9 @@ std::shared_ptr<const WeightBank> WeightBankCache::acquire(
   }
 
   auto entry = std::make_shared<Impl::Entry>();
+  std::int64_t no_retries = 0;  // no fault model: no SRAM retries
   entry->bank = generate_bank(cfg, shape, nn::LayerSeeds(cfg, shape),
-                              weights, nullptr, use_table);
+                              weights, nullptr, use_table, no_retries);
   entry->digest = digest;
   entry->key = key;
   entry->weights.assign(weights.begin(), weights.end());
@@ -225,7 +228,15 @@ struct ConvExecution::Impl {
   std::span<const float> input;
   std::vector<float> bn_scale, bn_shift;
   fault::FaultModel* fm = nullptr;
-  std::int64_t fault_retry0 = 0;
+  // This execution's own SRAM record, never the model-wide FaultStats: the
+  // ECC retry cycles of its weight-bank and activation reads, charged at
+  // finish. Only while an SRAM fault model is active: one flag per
+  // activation slot, set when its latest generation read a zeroed word
+  // (written before the slot's ready release, so a tile that read the slot
+  // sees it), and per tile the distinct zeroed slots its latest run read.
+  std::atomic<std::int64_t> ecc_retry_cycles{0};
+  std::unique_ptr<std::uint8_t[]> act_zeroed;
+  std::vector<std::int64_t> tile_zeroed;
 
   std::size_t wpl = 0;
   std::int64_t xy = 0, M = 0;
@@ -272,8 +283,12 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
       if (flag.compare_exchange_strong(expected, 1,
                                        std::memory_order_acq_rel)) {
         act_gen_counter->add(1);
-        nn::generate_activation_stream(act.data() + idx * wpl, cfg, *seeds,
-                                       idx, input[idx], fm, use_stream_table);
+        const fault::FaultModel::SramRead read =
+            nn::generate_activation_stream(act.data() + idx * wpl, cfg,
+                                           *seeds, idx, input[idx], fm,
+                                           use_stream_table);
+        if (act_zeroed != nullptr) act_zeroed[idx] = read.zeroed;
+        if (read.retry_cycles != 0) ecc_retry_cycles += read.retry_cycles;
         flag.store(2, std::memory_order_release);
         flag.notify_all();
         break;
@@ -299,7 +314,7 @@ const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
 }
 
 // Enumerates the activation-stream slots feeding `tile` (with repeats:
-// windows overlap). Shared by invalidation and tile_inputs.
+// windows overlap). Shared by invalidation and the zeroed-slot record.
 template <typename Fn>
 void ConvExecution::Impl::for_each_tile_input(std::int64_t tile,
                                               Fn&& fn) const {
@@ -385,6 +400,19 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
     }
   }
 
+  // Record the zeroed words this run consumed. No slot is regenerated while
+  // a tile runs, so the flags read now are the ones the run's streams came
+  // from; each slot counts once however many windows share it.
+  if (act_zeroed != nullptr) {
+    std::vector<std::size_t> zeroed;
+    for_each_tile_input(tile, [&](std::size_t aidx) {
+      if (act_zeroed[aidx] != 0) zeroed.push_back(aidx);
+    });
+    std::sort(zeroed.begin(), zeroed.end());
+    tile_zeroed[static_cast<std::size_t>(tile)] = static_cast<std::int64_t>(
+        std::unique(zeroed.begin(), zeroed.end()) - zeroed.begin());
+  }
+
   {
     const std::lock_guard<std::mutex> lock(stats_mu);
     MachineStats& g = result.stats;
@@ -415,14 +443,12 @@ MachineResult ConvExecution::Impl::finish() {
   const double lanes = std::max(1, hw.mem_port_bits / 16);
   st.nearmem_cycles = static_cast<std::int64_t>(
       2.0 * (st.psum_ops + st.bn_ops) / lanes);
-  // ECC retries on faulty SRAM reads stall the fill network; they are
-  // recovery work, so they land in the retry sub-bucket as well.
-  if (fm != nullptr) {
-    const std::int64_t ecc_retry =
-        fm->stats().sram_retry_cycles - fault_retry0;
-    st.stall_cycles += ecc_retry;
-    st.retry_stall_cycles += ecc_retry;
-  }
+  // ECC retries on this execution's faulty SRAM reads stall the fill
+  // network; they are recovery work, so they land in the retry sub-bucket
+  // as well.
+  const std::int64_t ecc_retry = ecc_retry_cycles.load();
+  st.stall_cycles += ecc_retry;
+  st.retry_stall_cycles += ecc_retry;
   st.total_cycles = st.compute_cycles + st.stall_cycles + st.nearmem_cycles;
   // The cycle ledger must balance: every total cycle is attributed to
   // exactly one of compute / stall / near-memory, the retry sub-bucket
@@ -512,21 +538,13 @@ void ConvExecution::invalidate_tile_inputs(std::int64_t tile) {
   });
 }
 
-std::vector<std::size_t> ConvExecution::tile_inputs(std::int64_t tile) const {
-  std::vector<std::size_t> in;
-  impl_->for_each_tile_input(tile,
-                             [&in](std::size_t aidx) { in.push_back(aidx); });
-  std::sort(in.begin(), in.end());
-  in.erase(std::unique(in.begin(), in.end()), in.end());
-  return in;
+std::int64_t ConvExecution::zeroed_inputs(std::int64_t tile) const {
+  const std::vector<std::int64_t>& rec = impl_->tile_zeroed;
+  return rec.empty() ? 0 : rec[static_cast<std::size_t>(tile)];
 }
 
 std::span<const std::int32_t> ConvExecution::counters() const {
   return impl_->result.counters;
-}
-
-const MachineStats& ConvExecution::stats() const {
-  return impl_->result.stats;
 }
 
 void ConvExecution::add_stall_cycles(std::int64_t cycles) {
@@ -658,8 +676,6 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->bn_shift.assign(bn_shift.begin(), bn_shift.end());
 
   impl->fm = fault::active();
-  impl->fault_retry0 =
-      impl->fm != nullptr ? impl->fm->stats().sram_retry_cycles : 0;
   impl->use_stream_table = sc::stream_table_enabled();
 
   const nn::ScLayerConfig& cfg = impl->cfg;
@@ -672,11 +688,13 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   // A clean bank is a pure function of the layer, so it comes from the
   // process cache. With a fault model active (a zero-rate one included),
   // generation reads fault sites and charges ECC retries, so it runs here.
+  std::int64_t bank_retry_cycles = 0;
   impl->bank = fm == nullptr
                    ? WeightBankCache::instance().acquire(
                          cfg, shape, weights, impl->use_stream_table)
                    : generate_bank(cfg, shape, *impl->seeds, weights, fm,
-                                   impl->use_stream_table);
+                                   impl->use_stream_table, bank_retry_cycles);
+  impl->ecc_retry_cycles = bank_retry_cycles;
 
   // ---- activation streams, generated lazily per buffer slot -------------
   auto& metrics = telemetry::MetricsRegistry::instance();
@@ -706,6 +724,11 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->tiles_cg = (shape.cout + impl->R - 1) / impl->R;
   impl->tiles_wg = (impl->xy + impl->windows_per_pass - 1) /
                    impl->windows_per_pass;
+  if (fm != nullptr && fm->sram_active()) {
+    impl->act_zeroed = std::make_unique<std::uint8_t[]>(input.size());
+    impl->tile_zeroed.assign(
+        static_cast<std::size_t>(impl->tiles_cg * impl->tiles_wg), 0);
+  }
 
   return ConvExecution(std::move(impl));
 }

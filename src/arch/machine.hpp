@@ -171,17 +171,19 @@ class ConvExecution {
   // exactly one tile).
   std::vector<std::size_t> tile_outputs(std::int64_t tile) const;
 
-  // Activation-stream indices read by `tile` (sorted, unique). Shared across
-  // channel groups: tiles over the same window group read the same streams.
-  // The resilience layer uses this to attribute first-access fault events to
-  // the tile the serial loop would have charged them to.
-  std::vector<std::size_t> tile_inputs(std::int64_t tile) const;
-
   // (Re)executes one tile. The tile's counters are zeroed first, so a retry
   // replaces — never double-counts — its partial sums. Cycle/stat costs
   // accumulate on every run (a retry really recomputes); the returned value
-  // is this run's cost alone (the delta merged into stats()).
+  // is this run's cost alone.
   MachineStats run_tile(std::int64_t tile);
+
+  // How many distinct activation words the latest run of `tile` read that
+  // ECC had detected and zeroed (parity odd-weight, SECDED multi-bit). Taken
+  // from this execution's own record of its SRAM reads, so executions
+  // sharing one fault model never see each other's events; a word shared
+  // with another tile counts for every tile that read it. 0 without an
+  // SRAM fault model.
+  std::int64_t zeroed_inputs(std::int64_t tile) const;
 
   // Drops the cached activation streams feeding `tile`, so the next run_tile
   // re-reads activation SRAM and regenerates them. A retry after a detected
@@ -193,10 +195,8 @@ class ConvExecution {
   // Partial-sum state accumulated so far (indexed like MachineResult::counters).
   std::span<const std::int32_t> counters() const;
 
-  // Execution statistics accumulated so far (ledger not yet reconciled).
-  const MachineStats& stats() const;
-
-  // Extra stall cycles charged to the ledger (retry backoff, scrubbing).
+  // Extra stall cycles charged to the ledger's retry sub-bucket (retry
+  // backoff, the ECC retries of the resilience layer's psum readbacks).
   void add_stall_cycles(std::int64_t cycles);
 
   // Stall cycles spent waiting on out-of-core block loads (weight-store pin
@@ -208,7 +208,9 @@ class ConvExecution {
   const nn::ScLayerConfig& config() const;
 
   // BN + bounded ReLU write-back, ledger reconciliation, telemetry mirror.
-  // Call at most once; the result is consumed.
+  // Charges the ECC retry cycles of this execution's own SRAM reads (weight
+  // bank and activation streams) into the retry sub-bucket. Call at most
+  // once; the result is consumed.
   MachineResult finish();
 
  private:

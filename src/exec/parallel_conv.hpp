@@ -7,7 +7,8 @@
 // count (docs/PARALLELISM.md spells out the contract). With a fault model
 // installed the determinism holds too: defect-mode injections are a pure
 // function of the site, and transient-mode draws are keyed per site access
-// sequence, which a single all-tiles pass leaves order-independent.
+// sequence, which a single all-tiles pass leaves order-independent. The
+// resilience layer's tile walk starts with this pass at every thread count.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,9 @@ class ParallelConvRunner {
   // cycle — and the call returns false. A cancelled execution is partial
   // and must be abandoned by the caller, never finished.
   //
-  // `tile_costs` (may be nullptr) receives each tile's first-run cost delta,
-  // indexed by tile. The resilience layer uses the deltas to reconstruct
-  // the serial ledger on a rung that fails mid-walk.
+  // `tile_costs` (may be nullptr) receives each tile's run cost, indexed by
+  // tile. The resilience walk charges a rung that fails mid-walk the costs
+  // of the tiles it visited in tile order, not every tile's.
   bool run_all(arch::ConvExecution& exec, CancelToken* cancel = nullptr,
                std::vector<arch::MachineStats>* tile_costs = nullptr);
 

@@ -356,12 +356,12 @@ std::uint32_t FaultModel::sram_flip_mask(unsigned bits, SiteRng& rng) const {
   return flips;
 }
 
-std::uint32_t FaultModel::sram_read(std::uint32_t word, unsigned bits,
-                                    Site domain, std::uint64_t site) {
-  if (cfg_.sram_error_rate <= 0.0 || bits == 0) return word;
+FaultModel::SramRead FaultModel::sram_read(std::uint32_t word, unsigned bits,
+                                           Site domain, std::uint64_t site) {
+  if (cfg_.sram_error_rate <= 0.0 || bits == 0) return {word};
   SiteRng rng = rng_for(domain, site);
   const std::uint32_t flips = sram_flip_mask(bits, rng);
-  if (flips == 0) return word;
+  if (flips == 0) return {word};
   sram_corrupted_.fetch_add(1, std::memory_order_relaxed);
   counters().sram_corrupted.add(1);
   const int weight = std::popcount(flips);
@@ -369,17 +369,17 @@ std::uint32_t FaultModel::sram_read(std::uint32_t word, unsigned bits,
     case EccMode::kNone:
       sram_silent_.fetch_add(1, std::memory_order_relaxed);
       counters().sram_silent.add(1);
-      return word ^ flips;
+      return {word ^ flips};
     case EccMode::kParity:
       if (weight % 2 == 1) {
         // Detected: the word is invalidated (detect-and-zero).
         sram_detected_.fetch_add(1, std::memory_order_relaxed);
         counters().sram_detected.add(1);
-        return 0;
+        return {0, true};
       }
       sram_silent_.fetch_add(1, std::memory_order_relaxed);
       counters().sram_silent.add(1);
-      return word ^ flips;
+      return {word ^ flips};
     case EccMode::kSecded:
       // Detected either way; the retry (re-read through the correction path)
       // costs two memory cycles, charged to the caller's stall ledger.
@@ -388,31 +388,13 @@ std::uint32_t FaultModel::sram_read(std::uint32_t word, unsigned bits,
       if (weight == 1) {
         sram_corrected_.fetch_add(1, std::memory_order_relaxed);
         counters().sram_corrected.add(1);
-        return word;  // corrected
+        return {word, false, 2};  // corrected
       }
       sram_detected_.fetch_add(1, std::memory_order_relaxed);
       counters().sram_detected.add(1);
-      return 0;  // uncorrectable: detect-and-zero
+      return {0, true, 2};  // uncorrectable: detect-and-zero
   }
-  return word;
-}
-
-int FaultModel::sram_defect_zeroed(unsigned bits, Site domain,
-                                   std::uint64_t site) const {
-  if (cfg_.transient || cfg_.sram_error_rate <= 0.0 || bits == 0) return 0;
-  SiteRng rng = rng_for(domain, site);  // defect mode: no sequence taken
-  const std::uint32_t flips = sram_flip_mask(bits, rng);
-  if (flips == 0) return 0;
-  const int weight = std::popcount(flips);
-  switch (cfg_.ecc) {
-    case EccMode::kNone:
-      return 0;  // silent
-    case EccMode::kParity:
-      return weight % 2 == 1 ? 1 : 0;  // detect-and-zero; even slips through
-    case EccMode::kSecded:
-      return weight == 1 ? 0 : 1;  // single-bit corrected; multi-bit zeroed
-  }
-  return 0;
+  return {word};
 }
 
 int FaultModel::corrupt_block(unsigned char* bytes, std::size_t length,

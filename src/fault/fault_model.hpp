@@ -90,9 +90,11 @@ struct FaultConfig {
   // what makes the resilience layer's detect-and-retry loop able to recover.
   // Transient draws are keyed by a per-*site* access sequence (this model's
   // Nth read of a given site), so any pass that touches each site once is
-  // independent of access order — exec::ParallelConvRunner can fan tiles out
-  // under the transient model too. Across retries the sequence advances per
-  // site, so runs stay reproducible whenever the retry schedule is.
+  // independent of access order: the resilience walk's first pass fans every
+  // tile out, then retries run serially in tile order, and the sequence
+  // advances per retried site, so runs are reproducible at every thread
+  // count. The sequence is model-wide: executions sharing one model share
+  // it.
   bool transient = false;
 
   // True if any injection is configured (an all-zero config is inert and is
@@ -117,7 +119,9 @@ struct FaultConfig {
 };
 
 // Injection/detection/correction ledger (mirrored into the telemetry
-// registry under the fault.* counters).
+// registry under the fault.* counters). Model-wide: every execution under
+// the model adds to it, so it is telemetry only; an execution learns what its
+// own reads did from the SramRead each one returns.
 struct FaultStats {
   std::int64_t stream_bits_flipped = 0;
   std::int64_t accum_bits_flipped = 0;
@@ -180,27 +184,24 @@ class FaultModel {
   sc::SeedSpec corrupt_seed(const sc::SeedSpec& spec, std::uint64_t site);
 
   // --- memory faults -------------------------------------------------------
+  // What one SRAM read did, for the caller's own ledger: the word the
+  // datapath receives, whether ECC detected the error and zeroed the word
+  // (parity on an odd-weight error, SECDED on a multi-bit one), and the
+  // correction-path retry cycles the read cost.
+  struct SramRead {
+    std::uint32_t word = 0;
+    bool zeroed = false;
+    int retry_cycles = 0;
+  };
+
   // Models reading a `bits`-wide word from SRAM: injects bit errors at the
   // configured rate (bursts of `sram_burst` adjacent bits) and applies the
-  // ECC policy. May return the corrupted word (kNone / parity-even), the
-  // original word (kSecded corrected, charging retry cycles), or zero
-  // (detect-and-zero).
-  std::uint32_t sram_read(std::uint32_t word, unsigned bits, Site domain,
-                          std::uint64_t site);
+  // ECC policy. The word may come back corrupted (kNone / parity-even),
+  // unchanged (kSecded corrected, costing 2 retry cycles) or zeroed
+  // (detect-and-zero; SECDED's detection also costs 2 retry cycles).
+  SramRead sram_read(std::uint32_t word, unsigned bits, Site domain,
+                     std::uint64_t site);
   bool sram_active() const noexcept { return cfg_.sram_error_rate > 0.0; }
-
-  // Pure replay for the defect model (transient == false): 1 when one read
-  // of this (domain, site) is detected and zeroed (parity on an odd-weight
-  // error, SECDED on a multi-bit error), which is what sram_read counts in
-  // FaultStats::sram_errors_detected; 0 otherwise, including a SECDED
-  // single-bit correction. The flip pattern is a pure function of (model
-  // seed, domain, site) and the outcome depends only on its weight, so this
-  // consumes no RNG state and mutates no stats — the resilience layer uses
-  // it to reconstruct the serial first-run detection signals after a
-  // parallel tile pass. Always 0 for ecc=none (corruption is silent) and
-  // for transient models.
-  int sram_defect_zeroed(unsigned bits, Site domain,
-                         std::uint64_t site) const;
 
   // --- disk-I/O faults -----------------------------------------------------
   // Block bit-rot on the store's read path: flips 1..4 bits of the `length`-

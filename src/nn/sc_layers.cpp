@@ -72,19 +72,19 @@ namespace {
 // value_bits, read through SRAM `sram` and generated into buffer `buf`, both
 // at fault site `site`. The seed is corrupted before the stream-table cache
 // is keyed, so a seed-upset stream is served from the corrupted sequence's
-// table, never the healthy one.
-void generate_layer_stream(std::uint64_t* dst, const ScLayerConfig& cfg,
-                           sc::SeedSpec spec, float v, fault::FaultModel* fm,
-                           fault::FaultModel::Site sram,
-                           fault::FaultModel::Site buf, std::uint64_t site,
-                           bool use_table) {
+// table, never the healthy one. Returns what the SRAM read did.
+fault::FaultModel::SramRead generate_layer_stream(
+    std::uint64_t* dst, const ScLayerConfig& cfg, sc::SeedSpec spec, float v,
+    fault::FaultModel* fm, fault::FaultModel::Site sram,
+    fault::FaultModel::Site buf, std::uint64_t site, bool use_table) {
   const auto length = static_cast<std::size_t>(cfg.stream_len);
   const std::size_t wpl = (length + 63) / 64;
-  std::uint32_t q = quantize_unsigned(v, cfg.value_bits);
+  fault::FaultModel::SramRead read{quantize_unsigned(v, cfg.value_bits)};
   if (fm != nullptr) {
-    q = fm->sram_read(q, cfg.value_bits, sram, site);
+    read = fm->sram_read(read.word, cfg.value_bits, sram, site);
     spec = fm->corrupt_seed(spec, site);
   }
+  const std::uint32_t q = read.word;
   std::fill(dst, dst + wpl, 0);
   if (q != 0) {
     const unsigned n = spec.bits;
@@ -104,6 +104,7 @@ void generate_layer_stream(std::uint64_t* dst, const ScLayerConfig& cfg,
   }
   // A defective buffer cell flips bits even in an all-zero stream.
   if (fm != nullptr) fm->corrupt_stream(dst, length, buf, site);
+  return read;
 }
 
 }  // namespace
@@ -123,12 +124,13 @@ sc::SeedSpec LayerSeeds::for_pass(sc::SeedSpec spec) const {
   return spec;
 }
 
-void generate_weight_bank(const ScLayerConfig& cfg, const ScShape& shape,
-                          const LayerSeeds& seeds,
-                          std::span<const float> weights,
-                          fault::FaultModel* fm, bool use_table,
-                          std::vector<std::uint64_t>& wpos,
-                          std::vector<std::uint64_t>& wneg) {
+std::int64_t generate_weight_bank(const ScLayerConfig& cfg,
+                                  const ScShape& shape,
+                                  const LayerSeeds& seeds,
+                                  std::span<const float> weights,
+                                  fault::FaultModel* fm, bool use_table,
+                                  std::vector<std::uint64_t>& wpos,
+                                  std::vector<std::uint64_t>& wneg) {
   const std::size_t wpl = (static_cast<std::size_t>(cfg.stream_len) + 63) / 64;
   wpos.assign(weights.size() * wpl, 0);
   wneg.assign(weights.size() * wpl, 0);
@@ -137,28 +139,33 @@ void generate_weight_bank(const ScLayerConfig& cfg, const ScShape& shape,
   // Storage order s = t*cout + oc. Serial: fanning out on the thread pool
   // was no faster (docs/PARALLELISM.md).
   std::size_t s = 0;
+  std::int64_t retry_cycles = 0;
   for (int t = 0; t < K; ++t)
     for (int oc = 0; oc < cout; ++oc, ++s) {
       const std::size_t idx = static_cast<std::size_t>(oc) * K + t;
       const float w = std::clamp(weights[idx], -1.0f, 1.0f);
-      generate_layer_stream((w >= 0.0f ? wpos : wneg).data() + s * wpl, cfg,
-                            seeds.weight({oc, t / (kw * kh), t / kw % kh,
-                                          t % kw}),
-                            std::abs(w), fm,
-                            fault::FaultModel::Site::kWeightSram,
-                            fault::FaultModel::Site::kWeightStream, idx,
-                            use_table);
+      retry_cycles +=
+          generate_layer_stream((w >= 0.0f ? wpos : wneg).data() + s * wpl,
+                                cfg,
+                                seeds.weight({oc, t / (kw * kh), t / kw % kh,
+                                              t % kw}),
+                                std::abs(w), fm,
+                                fault::FaultModel::Site::kWeightSram,
+                                fault::FaultModel::Site::kWeightStream, idx,
+                                use_table)
+              .retry_cycles;
     }
+  return retry_cycles;
 }
 
-void generate_activation_stream(std::uint64_t* dst, const ScLayerConfig& cfg,
-                                const LayerSeeds& seeds, std::size_t slot,
-                                float a, fault::FaultModel* fm,
-                                bool use_table) {
-  generate_layer_stream(dst, cfg, seeds.activation(slot),
-                        std::clamp(a, 0.0f, 1.0f), fm,
-                        fault::FaultModel::Site::kActSram,
-                        fault::FaultModel::Site::kActStream, slot, use_table);
+fault::FaultModel::SramRead generate_activation_stream(
+    std::uint64_t* dst, const ScLayerConfig& cfg, const LayerSeeds& seeds,
+    std::size_t slot, float a, fault::FaultModel* fm, bool use_table) {
+  return generate_layer_stream(dst, cfg, seeds.activation(slot),
+                               std::clamp(a, 0.0f, 1.0f), fm,
+                               fault::FaultModel::Site::kActSram,
+                               fault::FaultModel::Site::kActStream, slot,
+                               use_table);
 }
 
 // Streaming APC state (modeled after [24]) for one output: products are

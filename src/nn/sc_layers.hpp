@@ -82,26 +82,26 @@ class LayerSeeds {
 // `wpos`/`wneg`: each weight is clamped to [-1, 1], its magnitude quantized,
 // read through the weight SRAM and generated into the bank of its sign,
 // with fault sites oc*K + t. Runs serially on the calling thread, in
-// storage order.
-void generate_weight_bank(const ScLayerConfig& cfg, const ScShape& shape,
-                          const LayerSeeds& seeds,
-                          std::span<const float> weights,
-                          fault::FaultModel* fm, bool use_table,
-                          std::vector<std::uint64_t>& wpos,
-                          std::vector<std::uint64_t>& wneg);
+// storage order. Returns the ECC retry cycles the weight SRAM reads cost.
+std::int64_t generate_weight_bank(const ScLayerConfig& cfg,
+                                  const ScShape& shape,
+                                  const LayerSeeds& seeds,
+                                  std::span<const float> weights,
+                                  fault::FaultModel* fm, bool use_table,
+                                  std::vector<std::uint64_t>& wpos,
+                                  std::vector<std::uint64_t>& wneg);
 
 // Generates the stream of input slot `slot` (value `a`, clamped to [0, 1])
 // into `dst`: quantized, read through the activation SRAM and generated,
-// with fault site `slot`.
+// with fault site `slot`. Returns what the slot's SRAM read did.
 //
 // Both generators use the shared stream tables (sc/stream_table.hpp) when
 // `use_table` is set and tick the thread's generator otherwise; the two are
 // bit-identical. `fm` may be null; when set, SRAM reads, seeds and stream
 // buffers are corrupted keyed by (domain, site).
-void generate_activation_stream(std::uint64_t* dst, const ScLayerConfig& cfg,
-                                const LayerSeeds& seeds, std::size_t slot,
-                                float a, fault::FaultModel* fm,
-                                bool use_table);
+fault::FaultModel::SramRead generate_activation_stream(
+    std::uint64_t* dst, const ScLayerConfig& cfg, const LayerSeeds& seeds,
+    std::size_t slot, float a, fault::FaultModel* fm, bool use_table);
 
 // The SC path's window walk: calls fn(t, slot) for every tap t in [lo, hi)
 // of output window pos = oy*wout + ox that reads input slot

@@ -5,11 +5,9 @@
 #include <cstdlib>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 
 #include "core/env.hpp"
 #include "exec/parallel_conv.hpp"
-#include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/sc_layers.hpp"
 #include "telemetry/journal.hpp"
@@ -201,13 +199,6 @@ struct TileSignals {
     any = true;
   }
 
-  void merge(const TileSignals& other) {
-    for (int d = 0; d < kDetectKinds; ++d)
-      hits[static_cast<std::size_t>(d)] +=
-          other.hits[static_cast<std::size_t>(d)];
-    any = any || other.any;
-  }
-
   std::int64_t count() const {
     std::int64_t n = 0;
     for (const std::int64_t h : hits) n += h;
@@ -215,33 +206,19 @@ struct TileSignals {
   }
 };
 
-// The Detect kind an uncorrectable ECC event reports under this model.
-Detect ecc_detect_kind(const fault::FaultModel& fm) {
-  return fm.config().ecc == fault::EccMode::kParity ? Detect::kParityZeroed
-                                                    : Detect::kSecdedDoubleBit;
-}
-
-// ECC uncorrectable events observed since `before`: the detected (and
-// zeroed) reads across the attempt's window. Corrections are counted apart
-// and carry no signal.
-TileSignals ecc_delta_signals(fault::FaultModel* fm,
-                              const fault::FaultStats& before) {
+// Checks one tile against the record of its latest run: every zeroed
+// activation word it read (an uncorrectable ECC event; corrections carry no
+// signal), then the partial-sum range and CRC-readback guards over its
+// outputs. The CRC probe is a real guard read: it counts events exactly like
+// the hardware readback would and charges its ECC retry cycles to `exec`.
+TileSignals check_tile(arch::ConvExecution& exec, std::int64_t tile,
+                       const arch::ConvShape& shape, fault::FaultModel* fm) {
   TileSignals sig;
-  if (fm == nullptr) return sig;
-  const std::int64_t uncorrectable =
-      fm->stats().sram_errors_detected - before.sram_errors_detected;
-  for (std::int64_t i = 0; i < uncorrectable; ++i)
-    sig.add(ecc_detect_kind(*fm));
-  return sig;
-}
-
-// The partial-sum range and CRC-readback guards over the tile's outputs.
-// The CRC probe is a real guard read: it charges ECC retry cycles and counts
-// events exactly like the hardware readback would.
-TileSignals guard_signals(const arch::ConvExecution& exec, std::int64_t tile,
-                          const arch::ConvShape& shape) {
-  TileSignals sig;
-  fault::FaultModel* fm = fault::active();
+  const std::int64_t zeroed = exec.zeroed_inputs(tile);
+  for (std::int64_t i = 0; i < zeroed; ++i)
+    sig.add(fm->config().ecc == fault::EccMode::kParity
+                ? Detect::kParityZeroed
+                : Detect::kSecdedDoubleBit);
 
   const std::span<const std::int32_t> counters = exec.counters();
   const std::int64_t bound = static_cast<std::int64_t>(shape.taps()) *
@@ -258,27 +235,14 @@ TileSignals guard_signals(const arch::ConvExecution& exec, std::int64_t tile,
     // counter is untouched, the tile re-executes instead.
     if (fm != nullptr && fm->sram_active()) {
       const auto word = static_cast<std::uint32_t>(c);
-      const std::uint32_t readback = fm->sram_read(
+      const fault::FaultModel::SramRead readback = fm->sram_read(
           word, 32, fault::FaultModel::Site::kPsumSram, oidx);
-      if (readback != word) sig.add(Detect::kPsumCrc);
+      exec.add_stall_cycles(readback.retry_cycles);
+      if (readback.word != word) sig.add(Detect::kPsumCrc);
     }
   }
   return sig;
 }
-
-// Checks one freshly-run tile: ECC uncorrectable delta across the attempt,
-// then the guards.
-TileSignals check_tile(const arch::ConvExecution& exec, std::int64_t tile,
-                       const arch::ConvShape& shape,
-                       const fault::FaultStats& before) {
-  TileSignals sig = ecc_delta_signals(fault::active(), before);
-  sig.merge(guard_signals(exec, tile, shape));
-  return sig;
-}
-
-}  // namespace
-
-namespace {
 
 geo::Status cancelled_status(std::string_view layer, std::string_view where) {
   if (auto& journal = telemetry::Journal::instance(); journal.enabled())
@@ -291,16 +255,20 @@ geo::Status cancelled_status(std::string_view layer, std::string_view where) {
 // Cycles burned on one rung's tile walk, reported back to the caller.
 struct RungWalkStats {
   std::int64_t backoff = 0;    // backoff stalls charged into the live ledger
-  std::int64_t abandoned = 0;  // serial-schedule spend, set when the rung fails
+  std::int64_t abandoned = 0;  // tile-order spend, set when the rung fails
 };
 
 // Walks every tile of a prepared execution under the bounded detect/retry
-// loop: the tile-parallel Phase A fast path when eligible, the serial loop
-// otherwise, exponential-backoff retries, and detection bookkeeping into
-// `outcome`. Returns true when every tile passed, false when a tile drained
-// its retry budget (the rung failed; ws.abandoned holds the cycles the
-// serial schedule would have burned by then), or kDeadlineExceeded when
-// `cancel` fired at a tile boundary (the partial run is abandoned in place).
+// loop. A first pass runs every tile once, fanned across the process pool
+// (inline at one lane); then, in tile order, each tile is checked from the
+// record of its latest run and retried with exponential backoff, with
+// detection bookkeeping into `outcome`. A tile is checked against the words
+// it actually read, so one that read a word another tile's retry has since
+// regenerated is still judged by what it consumed. Returns true when every
+// tile passed, false when a tile drained its retry budget (the rung failed;
+// ws.abandoned holds what the walk spent in tile order up to that tile), or
+// kDeadlineExceeded when `cancel` fired at a tile boundary (the partial run
+// is abandoned in place).
 geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
                                     const arch::ConvShape& shape,
                                     const RetryPolicy& policy, Rung rung,
@@ -308,78 +276,31 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
                                     LayerOutcome& outcome, RungWalkStats& ws) {
   auto& metrics = telemetry::MetricsRegistry::instance();
   fault::FaultModel* fm = fault::active();
-  bool rung_failed = false;
   const std::int64_t tiles = exec.tile_count();
 
-  // Tile-parallel fast path: fan every tile's independent first run across
-  // the process pool (Phase A), then replay the serial loop's detect/retry
-  // decisions tile-by-tile from recorded evidence (Phase B). Disabled for
-  // transient fault models — there each SRAM access advances a per-site
-  // sequence, so a retry interleaved between first runs would change later
-  // tiles' draws; those keep the serial loop verbatim.
-  const bool parallel = exec::ThreadPool::instance().size() > 1 && tiles > 1 &&
-                        (fm == nullptr || !fm->config().transient);
-
   std::vector<arch::MachineStats> first_costs;
-  std::vector<std::int64_t> emulated_ecc;
-  if (parallel) {
-    if (!exec::ParallelConvRunner().run_all(exec, cancel, &first_costs))
-      return cancelled_status(outcome.layer, "parallel-tile-boundary");
-    // Reconstruct the attempt-0 ECC signals the serial loop would have
-    // seen: in tile order, the first tile touching an activation slot owns
-    // its generation, and under the defect model whether that read is
-    // detected and zeroed is a pure function of the slot.
-    emulated_ecc.assign(static_cast<std::size_t>(tiles), 0);
-    if (fm != nullptr && fm->sram_active()) {
-      std::unordered_set<std::size_t> owned;
-      for (std::int64_t t = 0; t < tiles; ++t) {
-        for (const std::size_t aidx : exec.tile_inputs(t)) {
-          if (owned.insert(aidx).second)
-            emulated_ecc[static_cast<std::size_t>(t)] +=
-                fm->sram_defect_zeroed(
-                    static_cast<unsigned>(exec.config().value_bits),
-                    fault::FaultModel::Site::kActSram, aidx);
-        }
-      }
-    }
-  }
+  if (!exec::ParallelConvRunner().run_all(exec, cancel, &first_costs))
+    return cancelled_status(outcome.layer, "parallel-tile-boundary");
 
-  // What the serial loop would have spent by the time a rung fails:
-  // first-run costs of the tiles visited so far, plus retry runs and
-  // backoff stalls. The live exec.stats() can't stand in for this in
-  // parallel mode — Phase A already charged *every* tile's first run.
-  std::int64_t serial_cycles = 0;
-
-  for (std::int64_t tile = 0; tile < tiles && !rung_failed; ++tile) {
+  // What the walk has spent in tile order: first-run costs of the tiles
+  // visited so far, plus retry runs and backoff stalls. An abandoned rung is
+  // charged this, not the live ledger, which already holds every tile's
+  // first run.
+  std::int64_t walk_cycles = 0;
+  for (std::int64_t tile = 0; tile < tiles; ++tile) {
     // Tile-boundary cancellation: an expired request stops charging
     // cycles here, between tiles, and its replica frees promptly.
     if (cancel != nullptr && cancel->cancelled())
       return cancelled_status(outcome.layer, "tile-boundary");
-    if (parallel) {
-      const arch::MachineStats& fc =
-          first_costs[static_cast<std::size_t>(tile)];
-      serial_cycles += fc.compute_cycles + fc.stall_cycles;
-    }
+    const arch::MachineStats& fc = first_costs[static_cast<std::size_t>(tile)];
+    walk_cycles += fc.compute_cycles + fc.stall_cycles;
     bool tile_retried = false;
     for (int attempt = 0;; ++attempt) {
-      TileSignals sig;
-      if (parallel && attempt == 0) {
-        // The tile already ran in Phase A: emulate the ECC delta its first
-        // run produced under the serial schedule, then run the real
-        // guards (the guard reads mutate fault stats identically in both
-        // schedules, tile by tile).
-        const std::int64_t ecc_hits =
-            emulated_ecc[static_cast<std::size_t>(tile)];
-        for (std::int64_t i = 0; i < ecc_hits; ++i)
-          sig.add(ecc_detect_kind(*fm));
-        sig.merge(guard_signals(exec, tile, shape));
-      } else {
-        const fault::FaultStats before =
-            fm != nullptr ? fm->stats() : fault::FaultStats{};
+      if (attempt > 0) {
         const arch::MachineStats run_cost = exec.run_tile(tile);
-        serial_cycles += run_cost.compute_cycles + run_cost.stall_cycles;
-        sig = check_tile(exec, tile, shape, before);
+        walk_cycles += run_cost.compute_cycles + run_cost.stall_cycles;
       }
+      const TileSignals sig = check_tile(exec, tile, shape, fm);
       for (int d = 0; d < kDetectKinds; ++d)
         outcome.detections[static_cast<std::size_t>(d)] +=
             sig.hits[static_cast<std::size_t>(d)];
@@ -391,8 +312,12 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
         break;
       }
       if (attempt >= policy.retries) {
-        rung_failed = true;  // budget exhausted: trip the circuit breaker
-        break;
+        // Budget exhausted: trip the circuit breaker. The rung's ledger is
+        // discarded with the execution, so keep the burned cycles visible
+        // (nearmem_cycles are zero mid-run; the near-memory pass is charged
+        // at finish()).
+        ws.abandoned += walk_cycles;
+        return false;
       }
       if (!tile_retried) {
         tile_retried = true;
@@ -402,7 +327,7 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
       const std::int64_t stall = policy.backoff_for(attempt);
       exec.add_stall_cycles(stall);
       ws.backoff += stall;
-      serial_cycles += stall;
+      walk_cycles += stall;
       if (auto& journal = telemetry::Journal::instance(); journal.enabled())
         journal.record("resilience.retry", outcome.layer,
                        {{"tile", static_cast<double>(tile)},
@@ -416,22 +341,6 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
       // budget drains toward degradation.
       exec.invalidate_tile_inputs(tile);
     }
-  }
-
-  if (rung_failed) {
-    // The rung's ledger is discarded with the execution, so keep the burned
-    // cycles visible. In parallel mode the reconstructed serial spend is
-    // reported so the ledger is independent of GEO_THREADS; mid-run
-    // nearmem_cycles are zero in both modes (the near-memory pass is
-    // charged at finish()).
-    if (parallel) {
-      ws.abandoned += serial_cycles;
-    } else {
-      const arch::MachineStats& st = exec.stats();
-      ws.abandoned +=
-          st.compute_cycles + st.stall_cycles + st.nearmem_cycles;
-    }
-    return false;
   }
   return true;
 }

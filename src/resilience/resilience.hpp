@@ -131,11 +131,11 @@ struct RunOptions {
   // of shedding it (docs/SERVING.md). Rungs more capable than `start` are
   // skipped; a non-native start marks the outcome degraded.
   Rung start = Rung::kNative;
-  // Cooperative cancellation, polled at every tile boundary (serial loop
-  // and parallel Phase A alike) and before each rung. A fired token makes
-  // run_conv return kDeadlineExceeded; the partial execution is abandoned
-  // (no outcome is appended) and the machine stays reusable — the next
-  // run_conv on this executor is byte-identical to a fresh one.
+  // Cooperative cancellation, polled at every tile boundary (the first
+  // pass and the tile-order retry pass alike) and before each rung. A fired
+  // token makes run_conv return kDeadlineExceeded; the partial execution is
+  // abandoned (no outcome is appended) and the machine stays reusable — the
+  // next run_conv on this executor is byte-identical to a fresh one.
   exec::CancelToken* cancel = nullptr;
   // Stall cycles the out-of-core weight store charges for block-load latency
   // this layer's execution could not overlap (store::WeightStore pin/wait

@@ -108,32 +108,34 @@ TEST(Determinism, MachineConvIsByteIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, DefectFaultRunIsByteIdenticalAcrossThreadCounts) {
   // The CI fault-recovery spec: uncorrectable double-bit SRAM bursts under
-  // SECDED. The parallel resilience path must reproduce the serial loop's
-  // detections, retries, backoff, and abandoned-cycle ledger exactly.
+  // SECDED, and a transient spec whose retries re-roll. The resilience walk
+  // fans every tile's first run out on the pool and retries in tile order,
+  // so detections, retries, backoff and the abandoned-cycle ledger must be
+  // the same at every thread count.
   const Fixture f;
   const HwConfig hw = small_hw();
-  FaultConfig cfg;
-  cfg.sram_error_rate = 2e-2;
-  cfg.sram_burst = 2;
-  cfg.ecc = EccMode::kSecded;
-  cfg.rng_seed = 99;
-
-  std::vector<std::string> run_prints, report_prints;
-  for (const int threads : {1, 2, 8}) {
-    exec::ScopedThreads scope(threads);
-    ScopedFaultInjection inject(cfg);
-    ResilientExecutor executor(hw, RetryPolicy{});
-    auto r = executor.run_conv(f.shape, f.weights, f.input, f.ones, f.zeros,
-                               9, "det");
-    ASSERT_TRUE(r.ok()) << r.status().to_string();
-    run_prints.push_back(fingerprint(*r));
-    ASSERT_EQ(executor.report().layers.size(), 1u);
-    report_prints.push_back(fingerprint(executor.report().layers[0]));
+  for (const char* spec : {"sram=2e-2,burst=2,ecc=secded,rng=99",
+                           "sram=5e-3,burst=2,ecc=secded,transient=1,rng=31"}) {
+    SCOPED_TRACE(spec);
+    const auto cfg = FaultConfig::parse(spec);
+    ASSERT_TRUE(cfg.ok());
+    std::vector<std::string> run_prints, report_prints;
+    for (const int threads : {1, 2, 8}) {
+      exec::ScopedThreads scope(threads);
+      ScopedFaultInjection inject(*cfg);
+      ResilientExecutor executor(hw, RetryPolicy{});
+      auto r = executor.run_conv(f.shape, f.weights, f.input, f.ones,
+                                 f.zeros, 9, "det");
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      run_prints.push_back(fingerprint(*r));
+      ASSERT_EQ(executor.report().layers.size(), 1u);
+      report_prints.push_back(fingerprint(executor.report().layers[0]));
+    }
+    EXPECT_EQ(run_prints[0], run_prints[1]);
+    EXPECT_EQ(run_prints[0], run_prints[2]);
+    EXPECT_EQ(report_prints[0], report_prints[1]) << report_prints[0];
+    EXPECT_EQ(report_prints[0], report_prints[2]) << report_prints[0];
   }
-  EXPECT_EQ(run_prints[0], run_prints[1]);
-  EXPECT_EQ(run_prints[0], run_prints[2]);
-  EXPECT_EQ(report_prints[0], report_prints[1]) << report_prints[0];
-  EXPECT_EQ(report_prints[0], report_prints[2]) << report_prints[0];
 }
 
 TEST(Determinism, TransientFaultPassIsByteIdenticalAcrossThreadCounts) {

@@ -203,7 +203,7 @@ TEST(FaultModelSram, NoneDeliversCorruptedWords) {
   FaultModel m(sram_cfg(0.08, EccMode::kNone));
   int changed = 0;
   for (std::uint64_t site = 0; site < 400; ++site)
-    changed += m.sram_read(0xA5u, 8, Site::kWeightSram, site) != 0xA5u;
+    changed += m.sram_read(0xA5u, 8, Site::kWeightSram, site).word != 0xA5u;
   const FaultStats st = m.stats();
   EXPECT_GT(changed, 0);
   EXPECT_EQ(st.sram_words_corrupted, changed);
@@ -214,16 +214,24 @@ TEST(FaultModelSram, NoneDeliversCorruptedWords) {
 
 TEST(FaultModelSram, ParityZeroesOddWeightErrors) {
   FaultModel m(sram_cfg(0.08, EccMode::kParity));
+  std::int64_t zeroed = 0;
   for (std::uint64_t site = 0; site < 400; ++site) {
-    const std::uint32_t out = m.sram_read(0xFFu, 8, Site::kActSram, site);
+    const FaultModel::SramRead r = m.sram_read(0xFFu, 8, Site::kActSram, site);
+    const std::uint32_t out = r.word;
     // Detected reads are zeroed; undetected ones pass through (possibly
     // corrupted with an even number of flips).
     if (out != 0xFFu && out != 0u) {
       // Even-weight slip-through: the delta must have even popcount.
       EXPECT_EQ(std::popcount(out ^ 0xFFu) % 2, 0);
     }
+    if (r.zeroed) {
+      EXPECT_EQ(out, 0u) << site;
+    }
+    EXPECT_EQ(r.retry_cycles, 0) << "parity has no correction path";
+    zeroed += r.zeroed;
   }
   const FaultStats st = m.stats();
+  EXPECT_EQ(st.sram_errors_detected, zeroed);
   EXPECT_GT(st.sram_words_corrupted, 0);
   EXPECT_EQ(st.sram_errors_detected + st.sram_silent_corruptions,
             st.sram_words_corrupted);
@@ -232,12 +240,20 @@ TEST(FaultModelSram, ParityZeroesOddWeightErrors) {
 
 TEST(FaultModelSram, SecdedCorrectsSinglesAndChargesRetries) {
   FaultModel m(sram_cfg(0.08, EccMode::kSecded));
+  std::int64_t zeroed = 0, retry_cycles = 0;
   for (std::uint64_t site = 0; site < 400; ++site) {
-    const std::uint32_t out = m.sram_read(0xC3u, 8, Site::kWeightSram, site);
+    const FaultModel::SramRead r =
+        m.sram_read(0xC3u, 8, Site::kWeightSram, site);
     // SECDED never delivers a corrupted word: corrected or zeroed.
-    EXPECT_TRUE(out == 0xC3u || out == 0u) << site;
+    EXPECT_TRUE(r.word == 0xC3u || r.word == 0u) << site;
+    EXPECT_EQ(r.zeroed, r.word == 0u) << site;
+    zeroed += r.zeroed;
+    retry_cycles += r.retry_cycles;
   }
   const FaultStats st = m.stats();
+  // Each read reports exactly what it added to the model-wide ledger.
+  EXPECT_EQ(st.sram_errors_detected, zeroed);
+  EXPECT_EQ(st.sram_retry_cycles, retry_cycles);
   EXPECT_GT(st.sram_errors_corrected, 0);
   EXPECT_EQ(st.sram_errors_corrected + st.sram_errors_detected,
             st.sram_words_corrupted);
@@ -252,8 +268,10 @@ TEST(FaultModelSram, BurstWidensEvents) {
   FaultModel m4(c2);
   int single_total = 0, burst_total = 0;
   for (std::uint64_t site = 0; site < 500; ++site) {
-    single_total += std::popcount(m1.sram_read(0, 16, Site::kActSram, site));
-    burst_total += std::popcount(m4.sram_read(0, 16, Site::kActSram, site));
+    single_total +=
+        std::popcount(m1.sram_read(0, 16, Site::kActSram, site).word);
+    burst_total +=
+        std::popcount(m4.sram_read(0, 16, Site::kActSram, site).word);
   }
   EXPECT_GT(burst_total, single_total);  // same events, wider damage
 }

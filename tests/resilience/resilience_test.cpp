@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "arch/machine.hpp"
@@ -210,11 +211,11 @@ TEST(ResilientExecutor, DefectFaultsDegradeToExactReference) {
 
 TEST(ResilientExecutor, SecdedCorrectionsDoNotCancelDetections) {
   // Burst-1 SECDED: most faulty activation words have one flipped bit and
-  // are corrected, a few have two or more and are zeroed. Tile 0 owns every
-  // slot it reads, so its first run makes both kinds of read; each zeroed
-  // read must raise secded_double_bit on that attempt however many
-  // corrections share the tile. A zero input keeps every partial sum at 0,
-  // so the psum guards stay silent and ECC is the only signal.
+  // are corrected, a few have two or more and are zeroed. Tile 0's first
+  // run makes both kinds of read; each zeroed read must raise
+  // secded_double_bit on that attempt however many corrections share the
+  // tile. A zero input keeps every partial sum at 0, so the psum guards
+  // stay silent and ECC is the only signal.
   Fixture f;
   std::fill(f.input.begin(), f.input.end(), 0.0f);
   const HwConfig hw = small_hw(nn::AccumMode::kPbw);
@@ -224,8 +225,9 @@ TEST(ResilientExecutor, SecdedCorrectionsDoNotCancelDetections) {
   cfg.ecc = EccMode::kSecded;
   cfg.rng_seed = 3;  // tile 0: 5 zeroed reads, 20 corrected
 
-  // Tile 0's first-run reads, classified on a separate model: under the
-  // defect model a site's outcome is a pure function of (seed, site).
+  // Tile 0's reads (the input slots of its output windows, each once),
+  // classified on a separate model: under the defect model a site's outcome
+  // is a pure function of (seed, site).
   GeoMachine machine(hw);
   std::vector<std::size_t> slots;
   {
@@ -233,8 +235,15 @@ TEST(ResilientExecutor, SecdedCorrectionsDoNotCancelDetections) {
     auto prepared =
         machine.prepare_conv(f.shape, f.weights, f.input, f.ones, f.zeros, 9);
     ASSERT_TRUE(prepared.ok()) << prepared.status().to_string();
-    slots = prepared->tile_inputs(0);
+    const auto xy = static_cast<std::size_t>(f.shape.hout() * f.shape.wout());
+    for (const std::size_t oidx : prepared->tile_outputs(0))
+      nn::for_each_window_tap(f.shape, oidx % xy, 0, f.shape.taps(),
+                              [&](int, std::size_t slot) {
+                                slots.push_back(slot);
+                              });
   }
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
   const auto bits =
       static_cast<unsigned>(machine.layer_config(f.shape, 9).value_bits);
   fault::FaultModel probe(cfg);
@@ -249,7 +258,7 @@ TEST(ResilientExecutor, SecdedCorrectionsDoNotCancelDetections) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "geo_secded_cancel.jsonl")
           .string();
-  for (const int threads : {1, 2}) {  // the serial loop, then Phase B
+  for (const int threads : {1, 2}) {  // inline first pass, then pooled
     SCOPED_TRACE(threads);
     exec::ScopedThreads pool(threads);
     journal.disable();
@@ -278,6 +287,69 @@ TEST(ResilientExecutor, SecdedCorrectionsDoNotCancelDetections) {
     journal.disable();
   }
   std::filesystem::remove(path);
+}
+
+TEST(ResilientExecutor, ConcurrentExecutorsUnderOneModelMatchASoloRun) {
+  // GEO_FAULTS installs one process-wide model that every executor reads.
+  // Each execution must decide its retries from its own SRAM reads and
+  // charge its own ECC retry cycles, so two executors running at once on
+  // two threads under one model each report exactly what a solo run does.
+  // The first spec degrades (its detections would leak between the runs);
+  // the second accepts the native rung with 10 ECC retry cycles (a run that
+  // counted its neighbour's would read 20).
+  const Fixture f;
+  const HwConfig hw = small_hw(nn::AccumMode::kPbw);
+  exec::ScopedThreads pool(2);
+
+  struct Run {
+    LayerOutcome outcome;
+    arch::MachineStats stats;
+  };
+  const auto run_once = [&](fault::FaultModel* model) {
+    fault::ScopedFaultOverride scope(model);
+    ResilientExecutor executor(hw, RetryPolicy{});
+    auto r = executor.run_conv(f.shape, f.weights, f.input, f.ones, f.zeros,
+                               9, "shared");
+    Run run;
+    if (!r.ok() || executor.report().layers.size() != 1) {
+      ADD_FAILURE() << r.status().to_string();
+      return run;
+    }
+    run.outcome = executor.report().layers[0];
+    run.stats = r->stats;
+    return run;
+  };
+  const auto expect_same = [](const Run& got, const Run& solo) {
+    EXPECT_EQ(got.outcome.detections, solo.outcome.detections);
+    EXPECT_EQ(got.outcome.retries, solo.outcome.retries);
+    EXPECT_EQ(got.outcome.tiles_retried, solo.outcome.tiles_retried);
+    EXPECT_EQ(got.outcome.rung, solo.outcome.rung);
+    EXPECT_EQ(got.stats.retry_stall_cycles, solo.stats.retry_stall_cycles);
+    EXPECT_EQ(got.stats.total_cycles, solo.stats.total_cycles);
+  };
+
+  for (const char* spec : {"sram=3e-3,burst=2,ecc=secded,rng=7",
+                           "sram=1e-3,burst=1,ecc=secded,rng=5"}) {
+    SCOPED_TRACE(spec);
+    const auto cfg = FaultConfig::parse(spec);
+    ASSERT_TRUE(cfg.ok());
+    fault::FaultModel model(*cfg);
+    const Run solo = run_once(&model);
+    if (solo.outcome.rung == Rung::kNative)
+      EXPECT_EQ(solo.stats.retry_stall_cycles, 10);
+    else
+      EXPECT_GT(solo.outcome.retries, 0);
+    for (int pair = 0; pair < 50; ++pair) {
+      Run a, b;
+      std::thread ta([&] { a = run_once(&model); });
+      std::thread tb([&] { b = run_once(&model); });
+      ta.join();
+      tb.join();
+      expect_same(a, solo);
+      expect_same(b, solo);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 TEST(ResilientExecutor, TransientFaultsRecoverWithoutDegrading) {
