@@ -10,7 +10,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "arch/attribution.hpp"
@@ -231,11 +230,10 @@ struct ConvExecution::Impl {
   // This execution's own SRAM record, never the model-wide FaultStats: the
   // ECC retry cycles of its weight-bank and activation reads, charged at
   // finish. Only while an SRAM fault model is active: one flag per
-  // activation slot, set when its latest generation read a zeroed word
-  // (written before the slot's ready release, so a tile that read the slot
-  // sees it), and per tile the distinct zeroed slots its latest run read.
-  std::atomic<std::int64_t> ecc_retry_cycles{0};
-  std::unique_ptr<std::uint8_t[]> act_zeroed;
+  // activation slot, set when its latest generation read a zeroed word, and
+  // per tile the distinct zeroed slots its latest run read.
+  std::int64_t ecc_retry_cycles = 0;
+  std::vector<std::uint8_t> act_zeroed;
   std::vector<std::int64_t> tile_zeroed;
 
   std::size_t wpl = 0;
@@ -248,13 +246,9 @@ struct ConvExecution::Impl {
 
   std::optional<nn::LayerSeeds> seeds;
   std::shared_ptr<const WeightBank> bank;  // shared, read-only
+  // Every input slot's activation stream, generated at prepare (slot s at
+  // s*wpl); tiles only read it.
   std::vector<std::uint64_t> act;
-  // Lazy activation-stream cache flags: 0 = empty, 1 = being generated,
-  // 2 = ready. Atomic so concurrent tiles claim generation exactly once
-  // (first CAS winner generates, everyone else waits for the release store)
-  // — the stream content is a pure function of the slot, so the winner's
-  // identity never changes the bits.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> act_ready;
 
   std::int64_t tiles_cg = 0, tiles_wg = 0;
 
@@ -265,67 +259,28 @@ struct ConvExecution::Impl {
   std::optional<telemetry::ScopedTimer> run_timer;
   telemetry::Histogram* pass_hist = nullptr;
   telemetry::Histogram* mac_hist = nullptr;
-  telemetry::Counter* act_gen_counter = nullptr;
 
-  const std::uint64_t* act_stream(std::size_t idx);
-  template <typename Fn>
-  void for_each_tile_input(std::int64_t tile, Fn&& fn) const;
+  std::vector<std::size_t> tile_inputs(std::int64_t tile) const;
   MachineStats run_tile(std::int64_t tile);
   MachineResult finish();
 };
 
-const std::uint64_t* ConvExecution::Impl::act_stream(std::size_t idx) {
-  std::atomic<std::uint8_t>& flag = act_ready[idx];
-  std::uint8_t state = flag.load(std::memory_order_acquire);
-  while (state != 2) {
-    if (state == 0) {
-      std::uint8_t expected = 0;
-      if (flag.compare_exchange_strong(expected, 1,
-                                       std::memory_order_acq_rel)) {
-        act_gen_counter->add(1);
-        const fault::FaultModel::SramRead read =
-            nn::generate_activation_stream(act.data() + idx * wpl, cfg,
-                                           *seeds, idx, input[idx], fm,
-                                           use_stream_table);
-        if (act_zeroed != nullptr) act_zeroed[idx] = read.zeroed;
-        if (read.retry_cycles != 0) ecc_retry_cycles += read.retry_cycles;
-        flag.store(2, std::memory_order_release);
-        flag.notify_all();
-        break;
-      }
-      state = expected;
-      continue;
-    }
-    // Another tile is generating this stream; its content is identical to
-    // what we would produce. Bounded spin (generation is usually a few
-    // table-row copies), then park on the atomic so a stalled generator
-    // can't make us burn a core under oversubscription. An invalidation
-    // (store 0) also wakes us, and the loop retries the claim.
-    for (int s = 0; s < 256 && state == 1; ++s) {
-      std::this_thread::yield();
-      state = flag.load(std::memory_order_acquire);
-    }
-    if (state == 1) {
-      flag.wait(1, std::memory_order_acquire);
-      state = flag.load(std::memory_order_acquire);
-    }
-  }
-  return act.data() + idx * wpl;
-}
-
-// Enumerates the activation-stream slots feeding `tile` (with repeats:
-// windows overlap). Shared by invalidation and the zeroed-slot record.
-template <typename Fn>
-void ConvExecution::Impl::for_each_tile_input(std::int64_t tile,
-                                              Fn&& fn) const {
+// The distinct activation-stream slots feeding `tile`, ascending (windows
+// overlap, so a slot read by several taps appears once).
+std::vector<std::size_t> ConvExecution::Impl::tile_inputs(
+    std::int64_t tile) const {
   const std::int64_t wg = tile % tiles_wg;
+  std::vector<std::size_t> slots;
   for (int wslot = 0; wslot < windows_per_pass; ++wslot) {
     const std::int64_t pos = wg * windows_per_pass + wslot;
     if (pos >= xy) break;
-    nn::for_each_window_tap(shape, static_cast<std::size_t>(pos), 0,
-                            shape.taps(),
-                            [&fn](int, std::size_t aidx) { fn(aidx); });
+    nn::for_each_window_tap(
+        shape, static_cast<std::size_t>(pos), 0, shape.taps(),
+        [&slots](int, std::size_t aidx) { slots.push_back(aidx); });
   }
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  return slots;
 }
 
 MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
@@ -380,7 +335,7 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
       nn::for_each_window_tap(shape, static_cast<std::size_t>(pos), tap_lo,
                               tap_hi, [&](int t, std::size_t aidx) {
                                 taps[static_cast<std::size_t>(t)] =
-                                    act_stream(aidx);
+                                    &act[aidx * wpl];
                               });
       const std::size_t oidx = static_cast<std::size_t>(c0) * xy +
                                static_cast<std::size_t>(pos);
@@ -403,14 +358,11 @@ MachineStats ConvExecution::Impl::run_tile(std::int64_t tile) {
   // Record the zeroed words this run consumed. No slot is regenerated while
   // a tile runs, so the flags read now are the ones the run's streams came
   // from; each slot counts once however many windows share it.
-  if (act_zeroed != nullptr) {
-    std::vector<std::size_t> zeroed;
-    for_each_tile_input(tile, [&](std::size_t aidx) {
-      if (act_zeroed[aidx] != 0) zeroed.push_back(aidx);
-    });
-    std::sort(zeroed.begin(), zeroed.end());
-    tile_zeroed[static_cast<std::size_t>(tile)] = static_cast<std::int64_t>(
-        std::unique(zeroed.begin(), zeroed.end()) - zeroed.begin());
+  if (!act_zeroed.empty()) {
+    const std::vector<std::size_t> slots = tile_inputs(tile);
+    tile_zeroed[static_cast<std::size_t>(tile)] = std::count_if(
+        slots.begin(), slots.end(),
+        [this](std::size_t aidx) { return act_zeroed[aidx] != 0; });
   }
 
   {
@@ -446,9 +398,8 @@ MachineResult ConvExecution::Impl::finish() {
   // ECC retries on this execution's faulty SRAM reads stall the fill
   // network; they are recovery work, so they land in the retry sub-bucket
   // as well.
-  const std::int64_t ecc_retry = ecc_retry_cycles.load();
-  st.stall_cycles += ecc_retry;
-  st.retry_stall_cycles += ecc_retry;
+  st.stall_cycles += ecc_retry_cycles;
+  st.retry_stall_cycles += ecc_retry_cycles;
   st.total_cycles = st.compute_cycles + st.stall_cycles + st.nearmem_cycles;
   // The cycle ledger must balance: every total cycle is attributed to
   // exactly one of compute / stall / near-memory, the retry sub-bucket
@@ -523,19 +474,22 @@ MachineStats ConvExecution::run_tile(std::int64_t tile) {
   return impl_->run_tile(tile);
 }
 
-void ConvExecution::invalidate_tile_inputs(std::int64_t tile) {
+void ConvExecution::regenerate_tile_inputs(std::int64_t tile) {
   Impl& im = *impl_;
-  // Every tap of every window in this tile: mark its activation stream
-  // stale. Streams are shared across channel groups, so a neighbouring
-  // tile's later first-use simply regenerates them (same seed, same SRAM
-  // word — bit-identical unless a fault model intervenes).
-  im.for_each_tile_input(tile, [&im](std::size_t aidx) {
-    im.act_ready[aidx].store(0, std::memory_order_release);
-    // Wake any act_stream() parked on state 1 so it re-runs the claim (no
-    // waiter can exist on the serial resilience path, but the protocol stays
-    // self-contained).
-    im.act_ready[aidx].notify_all();
-  });
+  // Each distinct slot once, serially. Streams are shared across tiles, so
+  // a neighbouring tile that runs later reads the regenerated stream (same
+  // seed, same SRAM word: bit-identical unless a fault model intervenes).
+  const std::vector<std::size_t> slots = im.tile_inputs(tile);
+  for (const std::size_t aidx : slots) {
+    const fault::FaultModel::SramRead read = nn::generate_activation_stream(
+        &im.act[aidx * im.wpl], im.cfg, *im.seeds, aidx, im.input[aidx],
+        im.fm, im.use_stream_table);
+    if (!im.act_zeroed.empty()) im.act_zeroed[aidx] = read.zeroed;
+    im.ecc_retry_cycles += read.retry_cycles;
+  }
+  telemetry::MetricsRegistry::instance()
+      .counter("machine.act_streams_generated")
+      .add(static_cast<std::int64_t>(slots.size()));
 }
 
 std::int64_t ConvExecution::zeroed_inputs(std::int64_t tile) const {
@@ -688,22 +642,22 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   // A clean bank is a pure function of the layer, so it comes from the
   // process cache. With a fault model active (a zero-rate one included),
   // generation reads fault sites and charges ECC retries, so it runs here.
-  std::int64_t bank_retry_cycles = 0;
   impl->bank = fm == nullptr
                    ? WeightBankCache::instance().acquire(
                          cfg, shape, weights, impl->use_stream_table)
                    : generate_bank(cfg, shape, *impl->seeds, weights, fm,
-                                   impl->use_stream_table, bank_retry_cycles);
-  impl->ecc_retry_cycles = bank_retry_cycles;
+                                   impl->use_stream_table,
+                                   impl->ecc_retry_cycles);
 
-  // ---- activation streams, generated lazily per buffer slot -------------
+  // ---- activation memory -> activation SNG streams (every slot, once) ---
+  const bool sram_record = fm != nullptr && fm->sram_active();
+  if (sram_record) impl->act_zeroed.assign(input.size(), 0);
+  impl->ecc_retry_cycles += nn::generate_activation_streams(
+      cfg, *impl->seeds, input, fm, impl->use_stream_table, impl->act,
+      impl->act_zeroed);
   auto& metrics = telemetry::MetricsRegistry::instance();
-  impl->act_gen_counter = &metrics.counter("machine.act_streams_generated");
-  impl->act.assign(input.size() * impl->wpl, 0);
-  impl->act_ready =
-      std::make_unique<std::atomic<std::uint8_t>[]>(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i)
-    impl->act_ready[i].store(0, std::memory_order_relaxed);
+  metrics.counter("machine.act_streams_generated")
+      .add(static_cast<std::int64_t>(input.size()));
 
   impl->result.counters.assign(static_cast<std::size_t>(shape.outputs()), 0);
   impl->result.activations.assign(static_cast<std::size_t>(shape.outputs()),
@@ -724,11 +678,9 @@ geo::StatusOr<ConvExecution> GeoMachine::prepare_conv(
   impl->tiles_cg = (shape.cout + impl->R - 1) / impl->R;
   impl->tiles_wg = (impl->xy + impl->windows_per_pass - 1) /
                    impl->windows_per_pass;
-  if (fm != nullptr && fm->sram_active()) {
-    impl->act_zeroed = std::make_unique<std::uint8_t[]>(input.size());
+  if (sram_record)
     impl->tile_zeroed.assign(
         static_cast<std::size_t>(impl->tiles_cg * impl->tiles_wg), 0);
-  }
 
   return ConvExecution(std::move(impl));
 }

@@ -142,23 +142,21 @@ class WeightBankCache {
 
 // A prepared convolution whose pass schedule is executed tile by tile. One
 // tile is one (channel group, window group) pair; running it executes every
-// kernel slice for that tile's outputs against the input snapshot captured
-// at prepare time (weight/activation streams are generated once and reused),
-// so re-running a tile is the hardware's retry-from-snapshot. The weight
-// bank is shared and read-only: with no fault model active it comes from
-// WeightBankCache, so executions of the same layer hold one bank. Obtained
-// from GeoMachine::prepare_conv; the weights/input spans must outlive the
-// execution. `finish()` applies BN/ReLU, reconciles the cycle ledger and
-// mirrors the stats into telemetry — running every tile exactly once and
-// finishing is bit- and stat-identical to GeoMachine::try_run_conv.
+// kernel slice for that tile's outputs against the streams generated at
+// prepare time, so re-running a tile is the hardware's retry-from-snapshot.
+// The weight bank is shared and read-only: with no fault model active it
+// comes from WeightBankCache, so executions of the same layer hold one bank.
+// Obtained from GeoMachine::prepare_conv; the weights/input spans must
+// outlive the execution. `finish()` applies BN/ReLU, reconciles the cycle
+// ledger and mirrors the stats into telemetry — running every tile exactly
+// once and finishing is bit- and stat-identical to GeoMachine::try_run_conv.
 //
 // Thread-safety: distinct tiles may run concurrently (exec::
-// ParallelConvRunner does this) — tile outputs are disjoint, the lazy
-// activation-stream cache is generate-once under an atomic claim, and stat
-// deltas merge under a lock, so the result is byte-identical to the serial
-// tile loop at any thread count (see docs/PARALLELISM.md). All other
-// methods (invalidate_tile_inputs, counters, finish, ...) must be called
-// with no run_tile in flight.
+// ParallelConvRunner does this) — tile outputs are disjoint, tiles only
+// read the activation streams, and stat deltas merge under a lock, so the
+// result is byte-identical to the serial tile loop at any thread count
+// (see docs/PARALLELISM.md). All other methods (regenerate_tile_inputs,
+// counters, finish, ...) must be called with no run_tile in flight.
 class ConvExecution {
  public:
   ConvExecution(ConvExecution&&) noexcept;
@@ -185,12 +183,13 @@ class ConvExecution {
   // SRAM fault model.
   std::int64_t zeroed_inputs(std::int64_t tile) const;
 
-  // Drops the cached activation streams feeding `tile`, so the next run_tile
-  // re-reads activation SRAM and regenerates them. A retry after a detected
-  // SRAM/stream fault must go through this, otherwise it would replay the
-  // same poisoned buffers and recovery under a transient fault model could
-  // never succeed.
-  void invalidate_tile_inputs(std::int64_t tile);
+  // Re-reads activation SRAM for each distinct slot feeding `tile` and
+  // regenerates its stream, serially on the calling thread. A retry after a
+  // detected SRAM/stream fault must go through this, otherwise it would
+  // replay the same poisoned buffers and recovery under a transient fault
+  // model could never succeed. Tiles that share a slot read the new stream
+  // from then on.
+  void regenerate_tile_inputs(std::int64_t tile);
 
   // Partial-sum state accumulated so far (indexed like MachineResult::counters).
   std::span<const std::int32_t> counters() const;
@@ -253,8 +252,10 @@ class GeoMachine {
   // loop). The weight bank comes from WeightBankCache::instance() when no
   // fault model is active (fault::active() is null), and is generated for
   // this execution alone otherwise, a zero-rate model included. Outputs and
-  // stats are the same either way. The spans must outlive the returned
-  // execution.
+  // stats are the same either way. Every input slot's activation stream is
+  // generated here, once, serially (nn::generate_activation_streams), so
+  // machine.act_streams_generated grows by shape.activations(). The spans
+  // must outlive the returned execution.
   geo::StatusOr<ConvExecution> prepare_conv(const ConvShape& shape,
                                             std::span<const float> weights,
                                             std::span<const float> input,

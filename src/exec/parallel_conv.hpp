@@ -1,10 +1,11 @@
 // Tile-parallel dispatch for a prepared ConvExecution.
 //
-// Tiles of one conv layer are independent — disjoint output slices, a
-// generate-once activation-stream cache, commutative integer stat merges —
-// so the runner fans `run_tile` calls across the GEO_THREADS pool and the
-// finished layer is byte-identical to the serial tile loop at any thread
-// count (docs/PARALLELISM.md spells out the contract). With a fault model
+// Tiles of one conv layer are independent — disjoint output slices,
+// activation streams generated at prepare and only read, commutative
+// integer stat merges — so the runner fans `run_tile` calls across the
+// GEO_THREADS pool and the finished layer is byte-identical to the serial
+// tile loop at any thread count (docs/PARALLELISM.md spells out the
+// contract). With a fault model
 // installed the determinism holds too: defect-mode injections are a pure
 // function of the site, and transient-mode draws are keyed per site access
 // sequence, which a single all-tiles pass leaves order-independent. The

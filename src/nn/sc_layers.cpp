@@ -168,6 +168,25 @@ fault::FaultModel::SramRead generate_activation_stream(
                                use_table);
 }
 
+std::int64_t generate_activation_streams(const ScLayerConfig& cfg,
+                                         const LayerSeeds& seeds,
+                                         std::span<const float> input,
+                                         fault::FaultModel* fm,
+                                         bool use_table,
+                                         std::vector<std::uint64_t>& act,
+                                         std::span<std::uint8_t> zeroed) {
+  const std::size_t wpl = (static_cast<std::size_t>(cfg.stream_len) + 63) / 64;
+  act.resize(input.size() * wpl);
+  std::int64_t retry_cycles = 0;
+  for (std::size_t slot = 0; slot < input.size(); ++slot) {
+    const fault::FaultModel::SramRead read = generate_activation_stream(
+        &act[slot * wpl], cfg, seeds, slot, input[slot], fm, use_table);
+    if (!zeroed.empty()) zeroed[slot] = read.zeroed;
+    retry_cycles += read.retry_cycles;
+  }
+  return retry_cycles;
+}
+
 // Streaming APC state (modeled after [24]) for one output: products are
 // consumed in pairs, merged with alternating OR / AND at weight 2, so the
 // over-count of OR merges and the under-count of AND merges cancel in
@@ -407,14 +426,13 @@ void sc_forward(const ScLayerConfig& cfg, std::uint64_t pass,
   ScAccumulator acc(layout, len, g.cout, fm);
   std::vector<ScAccumulator::Sum> sums(static_cast<std::size_t>(g.cout));
   std::vector<const std::uint64_t*> taps(static_cast<std::size_t>(K));
-  std::vector<std::uint64_t> act(slots * wpl);
+  std::vector<std::uint64_t> act;
   const double inv_len = 1.0 / static_cast<double>(len);
 
   for (int b = 0; b < nb; ++b) {
-    const float* xb = x.data() + static_cast<std::size_t>(b) * slots;
-    for (std::size_t slot = 0; slot < slots; ++slot)
-      generate_activation_stream(&act[slot * wpl], cfg, seeds, slot, xb[slot],
-                                 fm, use_table);
+    generate_activation_streams(
+        cfg, seeds, x.subspan(static_cast<std::size_t>(b) * slots, slots), fm,
+        use_table, act, {});
 
     // MAC rows: one window's taps feed every output channel at once.
     for (std::size_t pos = 0; pos < xy; ++pos) {

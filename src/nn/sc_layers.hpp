@@ -11,11 +11,13 @@
 // fully-connected layer is a 1x1 convolution on a 1x1 input, so stream
 // generation, fault-site keying, accumulation and gradient attenuation exist
 // once. GeoMachine shares the front end and the datapath with it: the seed
-// rule (LayerSeeds), stream generation (generate_weight_bank,
-// generate_activation_stream), the window walk (for_each_window_tap), the
-// tap grouping (tap_layout) and the accumulation (ScAccumulator). So the
-// machine equals the reference by construction, under every generator, on
-// every layer whose OR groups fit in one kernel slice.
+// rule (LayerSeeds), stream generation (generate_weight_bank, and
+// generate_activation_streams once per layer input, with
+// generate_activation_stream for the machine's per-slot retry), the window
+// walk (for_each_window_tap), the tap grouping (tap_layout) and the
+// accumulation (ScAccumulator). So the machine equals the reference by
+// construction, under every generator, on every layer whose OR groups fit
+// in one kernel slice.
 //
 // Activations are unipolar (post-ReLU values in [0, 1]); weights are signed,
 // so each weight carries a positive or a negative channel stream and every
@@ -102,6 +104,21 @@ std::int64_t generate_weight_bank(const ScLayerConfig& cfg,
 fault::FaultModel::SramRead generate_activation_stream(
     std::uint64_t* dst, const ScLayerConfig& cfg, const LayerSeeds& seeds,
     std::size_t slot, float a, fault::FaultModel* fm, bool use_table);
+
+// Generates the stream of every input slot into `act` (slot s at s*wpl):
+// GEO reads each activation from SRAM and generates its stream once per
+// layer (Sec. II-A), and every pass reads that stream. Runs serially on the
+// calling thread, in storage order, including slots no window reads. When
+// `zeroed` is non-empty (one entry per slot), zeroed[s] is set to whether
+// slot s's SRAM read came back ECC-zeroed. Returns the ECC retry cycles the
+// activation SRAM reads cost.
+std::int64_t generate_activation_streams(const ScLayerConfig& cfg,
+                                         const LayerSeeds& seeds,
+                                         std::span<const float> input,
+                                         fault::FaultModel* fm,
+                                         bool use_table,
+                                         std::vector<std::uint64_t>& act,
+                                         std::span<std::uint8_t> zeroed);
 
 // The SC path's window walk: calls fn(t, slot) for every tap t in [lo, hi)
 // of output window pos = oy*wout + ox that reads input slot

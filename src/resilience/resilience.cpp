@@ -335,11 +335,11 @@ geo::StatusOr<bool> walk_rung_tiles(arch::ConvExecution& exec,
                         {"stall_cycles", static_cast<double>(stall)},
                         {"detections", static_cast<double>(sig.count())}},
                        to_string(rung));
-      // Drop the cached activation streams so the retry re-reads SRAM and
-      // regenerates them — under a transient fault model the re-roll can
+      // Re-read the tile's activation words and regenerate their streams
+      // before the retry: under a transient fault model the re-roll can
       // clear the fault; under the defect model it reproduces it and the
       // budget drains toward degradation.
-      exec.invalidate_tile_inputs(tile);
+      exec.regenerate_tile_inputs(tile);
     }
   }
   return true;
@@ -385,8 +385,9 @@ geo::StatusOr<arch::MachineResult> ResilientExecutor::run_conv(
     if (rung == Rung::kReference) {
       // Bottom rung: bit-exact fixed-point software reference, computed
       // outside every fault hook. Shares apply_bn_relu with the machine so
-      // the write-back rounding is identical; its zeroed machine stats
-      // reconcile trivially.
+      // the write-back rounding is identical. The store's block-load wait
+      // happened whichever rung answered, so its ledger is that io stall
+      // alone, which reconciles trivially.
       if (auto s = machine.validate_conv(shape, weights, input, bn_scale,
                                          bn_shift);
           !s.ok())
@@ -399,6 +400,11 @@ geo::StatusOr<arch::MachineResult> ResilientExecutor::run_conv(
           static_cast<std::int64_t>(shape.hout()) * shape.wout();
       arch::apply_bn_relu(accepted.counters, bn_scale, bn_shift,
                           cfg.stream_len, per_channel, accepted.activations);
+      if (options.io_stall_cycles > 0) {
+        accepted.stats.stall_cycles = options.io_stall_cycles;
+        accepted.stats.io_stall_cycles = options.io_stall_cycles;
+        accepted.stats.total_cycles = options.io_stall_cycles;
+      }
       outcome.tiles = 0;  // no machine tiles; the whole layer is one unit
     } else {
       auto prepared = machine.prepare_conv(shape, weights, input, bn_scale,

@@ -140,9 +140,9 @@ struct RunOptions {
   // Stall cycles the out-of-core weight store charges for block-load latency
   // this layer's execution could not overlap (store::WeightStore pin/wait
   // stalls, already converted to cycles by the caller). Charged into the
-  // accepted machine execution's io sub-bucket just before its ledger
-  // reconciles, so attribution reports the load wait as memory cost. The
-  // reference rung carries zeroed machine stats and skips the charge.
+  // accepted result's io sub-bucket, so attribution reports the load wait as
+  // memory cost: a machine rung's just before its ledger reconciles, the
+  // reference rung's as its whole ledger (stall = io stall = total).
   std::int64_t io_stall_cycles = 0;
 };
 

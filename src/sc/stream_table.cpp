@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <thread>
+#include <mutex>
 
 #include "core/env.hpp"
 #include "sc/lfsr.hpp"
@@ -19,11 +19,6 @@ namespace {
 constexpr std::uint64_t kMaxTableBytes = 8ull << 20;
 // Total registry byte budget; builds past it fall back to the tick path.
 constexpr std::uint64_t kBudgetBytes = 256ull << 20;
-
-// Bounded spin before parking on the entry's atomic: long enough to cover a
-// small table build in flight, short enough that an oversubscribed waiter
-// yields its core quickly.
-constexpr int kSpinLimit = 256;
 
 // OR src's bits [from, to) into dst (both packed LSB-first, 64 per word).
 void or_bit_range(std::uint64_t* dst, const std::uint64_t* src,
@@ -105,12 +100,12 @@ StreamTable StreamTable::build(RngKind kind, const SeedSpec& spec,
 
 // --------------------------------------------------- StreamTableRegistry
 
-// Claim/generate/publish cell, same protocol as ConvExecution's lazy
-// activation cache: 0 = empty, 1 = being built, 2 = ready, 3 = failed
-// (budget exceeded or the build threw). The CAS winner builds; everyone
-// else bounded-spins then parks on the atomic until notified.
+// One key's table, built under `once` by the first acquire; concurrent
+// acquires block until it returns. `ready` is false when the build was
+// refused (budget exceeded) or threw, and then the key stays a fallback.
 struct StreamTableRegistry::Entry {
-  std::atomic<std::uint8_t> state{0};
+  std::once_flag once;
+  bool ready = false;
   StreamTable table;
 };
 
@@ -186,72 +181,50 @@ const StreamTable* StreamTableRegistry::acquire(RngKind kind,
     entry = it->second.get();
   }
 
-  std::uint8_t state = entry->state.load(std::memory_order_acquire);
-  if (state == 0) {
-    std::uint8_t expected = 0;
-    if (entry->state.compare_exchange_strong(expected, 1,
-                                             std::memory_order_acq_rel)) {
-      // We own the build. Reserve the footprint first so a flood of
-      // distinct keys (e.g. a high seed-upset fault rate minting corrupted
-      // specs) degrades to the tick path instead of unbounded memory.
-      const std::uint64_t need = StreamTable::bytes_for(spec.bits, length);
-      std::uint8_t publish = 3;
-      std::int64_t build_ns = 0;
-      if (need <= kMaxTableBytes) {
-        if (bytes_.fetch_add(need, std::memory_order_relaxed) + need <=
-            kBudgetBytes) {
-          try {
-            const auto t0 = std::chrono::steady_clock::now();
-            entry->table = StreamTable::build(kind, spec, length);
-            const auto t1 = std::chrono::steady_clock::now();
-            build_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           t1 - t0)
-                           .count();
-            metrics.counter("machine.stream_table_build_ns").add(build_ns);
-            publish = 2;
-          } catch (...) {
-            bytes_.fetch_sub(need, std::memory_order_relaxed);
-          }
-        } else {
+  bool built = false;
+  std::call_once(entry->once, [&] {
+    built = true;
+    // Reserve the footprint first so a flood of distinct keys (e.g. a high
+    // seed-upset fault rate minting corrupted specs) degrades to the tick
+    // path instead of unbounded memory.
+    const std::uint64_t need = StreamTable::bytes_for(spec.bits, length);
+    std::int64_t build_ns = 0;
+    if (need <= kMaxTableBytes) {
+      if (bytes_.fetch_add(need, std::memory_order_relaxed) + need <=
+          kBudgetBytes) {
+        try {
+          const auto t0 = std::chrono::steady_clock::now();
+          entry->table = StreamTable::build(kind, spec, length);
+          const auto t1 = std::chrono::steady_clock::now();
+          build_ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                  .count();
+          metrics.counter("machine.stream_table_build_ns").add(build_ns);
+          entry->ready = true;
+        } catch (...) {
           bytes_.fetch_sub(need, std::memory_order_relaxed);
         }
+      } else {
+        bytes_.fetch_sub(need, std::memory_order_relaxed);
       }
-      entry->state.store(publish, std::memory_order_release);
-      entry->state.notify_all();
-      if (auto& journal = telemetry::Journal::instance(); journal.enabled())
-        journal.record(
-            publish == 2 ? "stream_table.build" : "stream_table.fallback",
-            std::string(to_string(kind)) + "/b" +
-                std::to_string(spec.bits) + "/L" + std::to_string(length),
-            {{"bytes", static_cast<double>(need)},
-             {"build_ns", static_cast<double>(build_ns)}},
-            publish == 2 ? std::string_view{} : "budget");
-      if (publish == 2) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        metrics.counter("machine.stream_table_misses").add(1);
-        return &entry->table;
-      }
-      fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      fallback_counter.add(1);
-      return nullptr;
     }
-    state = expected;
-  }
-  // Another thread is building this table; its bits are a pure function of
-  // the key, so bounded-spin then park until it publishes.
-  while (state == 1) {
-    for (int s = 0; s < kSpinLimit && state == 1; ++s) {
-      std::this_thread::yield();
-      state = entry->state.load(std::memory_order_acquire);
+    if (auto& journal = telemetry::Journal::instance(); journal.enabled())
+      journal.record(
+          entry->ready ? "stream_table.build" : "stream_table.fallback",
+          std::string(to_string(kind)) + "/b" + std::to_string(spec.bits) +
+              "/L" + std::to_string(length),
+          {{"bytes", static_cast<double>(need)},
+           {"build_ns", static_cast<double>(build_ns)}},
+          entry->ready ? std::string_view{} : "budget");
+  });
+  if (entry->ready) {
+    if (built) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      metrics.counter("machine.stream_table_misses").add(1);
+    } else {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      hit_counter.add(1);
     }
-    if (state == 1) {
-      entry->state.wait(1, std::memory_order_acquire);
-      state = entry->state.load(std::memory_order_acquire);
-    }
-  }
-  if (state == 2) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_counter.add(1);
     return &entry->table;
   }
   fallbacks_.fetch_add(1, std::memory_order_relaxed);

@@ -16,11 +16,11 @@
 // Tables live in a process-wide registry keyed by the canonicalized
 // (RngKind, bits, seed, taps, length) tuple — keyed AFTER
 // fault::corrupt_seed rewrites a spec, so the GEO_FAULTS bit-exactness
-// contracts hold unchanged. Publication uses the same claim/generate/publish
-// atomic protocol as ConvExecution's lazy activation cache (one CAS winner
-// builds, everyone else bounded-spins then parks on a C++20 atomic wait).
-// Non-deterministic sources (TRNG) and tables over the byte budget fall back
-// to the reusable tick path, which is bit-identical by construction.
+// contracts hold unchanged. Each key's table is built under std::call_once:
+// the first acquire builds it, concurrent acquires of the same key block
+// until the build returns. Non-deterministic sources (TRNG) and tables over
+// the byte budget fall back to the reusable tick path, which is
+// bit-identical by construction.
 //
 // Knob (see docs/STREAM_GENERATION.md / docs/OBSERVABILITY.md):
 //   GEO_STREAM_TABLE  0|1  table-driven generation on/off (default 1)
@@ -98,7 +98,7 @@ class StreamTable {
 };
 
 // Process-wide shared-sequence cache. Thread-safe; a given key is built
-// exactly once (claim/build/publish) and served read-only forever after.
+// exactly once (std::call_once) and served read-only forever after.
 class StreamTableRegistry {
  public:
   static StreamTableRegistry& instance();

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/attribution.hpp"
 #include "arch/machine.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
@@ -463,6 +464,35 @@ TEST(ResilientExecutor, BackoffCyclesLandInTheLedger) {
   EXPECT_EQ(r->stats.total_cycles, r->stats.compute_cycles +
                                        r->stats.stall_cycles +
                                        r->stats.nearmem_cycles);
+}
+
+TEST(ResilientExecutor, SteeredReferenceRungCarriesItsIoStall) {
+  // The store's block-load wait happened whichever rung answered: a run
+  // steered onto the reference rung carries it as its whole ledger, which
+  // attribution reports as memory cost.
+  const Fixture f;
+  RunOptions run;
+  run.start = Rung::kReference;
+  run.io_stall_cycles = 37;
+  ResilientExecutor exec(small_hw(nn::AccumMode::kPbw), RetryPolicy{});
+  auto r = exec.run_conv(f.shape, f.weights, f.input, f.ones, f.zeros, 9,
+                         "steered", run);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  ASSERT_EQ(exec.report().layers.size(), 1u);
+  EXPECT_EQ(exec.report().layers[0].rung, Rung::kReference);
+
+  const arch::MachineStats& st = r->stats;
+  EXPECT_EQ(st.io_stall_cycles, 37);
+  EXPECT_EQ(st.stall_cycles, 37);
+  EXPECT_EQ(st.total_cycles, 37);
+  EXPECT_EQ(st.retry_stall_cycles, 0);
+  EXPECT_EQ(st.total_cycles,
+            st.compute_cycles + st.stall_cycles + st.nearmem_cycles);
+  EXPECT_TRUE(st.ledger_ok);
+  const arch::CycleAttribution a = arch::attribute(st);
+  EXPECT_TRUE(a.reconciles());
+  EXPECT_EQ(a.memory_cycles, 37);
+  EXPECT_EQ(a.generation_cycles, 0);
 }
 
 TEST(ResilienceReport, SummaryAndJsonCarryTheOutcome) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -484,13 +485,16 @@ TEST_P(OutOfCoreConv, MatchesResidentExecutionUnderEveryFaultModel) {
   ASSERT_TRUE(store.add_layer("oc", weights).ok());
 
   // Clean disk, then blanket persistent rot in every shard: the acceptance
-  // bar is byte-identical activations and counters either way.
+  // bar is byte-identical activations and counters either way. The rot is
+  // layered onto the ambient GEO_FAULTS spec, its rng seed included, so the
+  // store run sees the same SRAM faults as the resident baseline.
+  const std::optional<FaultConfig> ambient = FaultConfig::from_env();
   for (const double rot : {0.0, 1.0}) {
     std::optional<ScopedFaultInjection> scope;
     if (rot > 0) {
-      FaultConfig cfg;
+      FaultConfig cfg = ambient.value_or(FaultConfig{});
+      if (!ambient.has_value()) cfg.rng_seed = 13;
       cfg.io_rot_rate = rot;
-      cfg.rng_seed = 13;
       scope.emplace(cfg);
     }
     auto pinned = store.pin("oc");
